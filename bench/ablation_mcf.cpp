@@ -1,15 +1,15 @@
 // Ablation: the MCF engines NMAP's split phase relies on.
 //
-// Part 1 (reproduction, DESIGN.md substitution #1): exact simplex LP vs.
-// Frank–Wolfe approximation — per application, the min-max split bandwidth
+// Part 1 (reproduction, DESIGN.md substitution #1): exact LP (column
+// generation over paths) vs. Frank–Wolfe approximation — per application, the min-max split bandwidth
 // from both engines and their gap. The evidence that running the
 // approximation inside the swap loop (and polishing with the exact LP)
 // preserves the paper's results.
 //
 // Part 2 (ISSUE 6): warm-started candidate chains. The split mappers solve
 // the same MCF over and over with only the commodity tile endpoints moving;
-// lp::McfSolver re-solves a fixed LP skeleton from the previous optimal
-// basis (exact engine) or seeds Frank–Wolfe from the previous candidate's
+// lp::McfSolver seeds column generation with the paths of the previous
+// optima (exact engine) or seeds Frank–Wolfe from the previous candidate's
 // flows (approx engine). This bench drives both engines down an identical
 // swap-candidate stream, warm vs cold, and reports candidate evaluations
 // per second.
@@ -27,12 +27,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -244,8 +246,11 @@ void write_trajectory(const std::vector<ChainRow>& rows) {
         std::cerr << "BENCH_mcf.json: cannot open for writing\n";
         return;
     }
+    const std::size_t host_cores =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
     out << "{\n  \"bench\": \"ablation_mcf\",\n"
         << "  \"metric\": \"warm vs cold candidate evaluations per second\",\n"
+        << "  \"host_cores\": " << host_cores << ",\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ChainRow& r = rows[i];
@@ -260,8 +265,7 @@ void write_trajectory(const std::vector<ChainRow>& rows) {
 
 int run_chain_report(bool smoke) {
     // Approx chains on the >= 32-tile graphs the 2x gate covers; exact
-    // chains stay small (a cold simplex per candidate on a 64-tile graph
-    // costs seconds — exactly the cost the warm skeleton removes).
+    // chains stay on the small graphs the chain has always measured.
     const std::vector<std::size_t> approx_cores =
         smoke ? std::vector<std::size_t>{32} : std::vector<std::size_t>{32, 64};
     const std::vector<std::size_t> exact_cores =

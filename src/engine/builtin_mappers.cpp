@@ -198,8 +198,8 @@ std::vector<ParamSpec> split_specs() {
         sweeps_spec(),
         bool_spec("warm_start", false,
                   "warm-start the inner MCF engines across consecutive swap "
-                  "candidates (exact: re-solve the LP skeleton from the previous "
-                  "optimal basis; approx: seed flows from the previous solution)"),
+                  "candidates (exact: seed column generation with the previous "
+                  "optima's paths; approx: seed flows from the previous solution)"),
     };
 }
 

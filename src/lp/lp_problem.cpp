@@ -40,6 +40,19 @@ void LpProblem::add_constraint(std::vector<std::pair<std::int32_t, double>> term
     add_constraint(std::move(c));
 }
 
+std::int32_t LpProblem::add_column(double objective_coefficient,
+                                   const std::vector<std::pair<std::size_t, double>>& entries) {
+    for (const auto& [row, coeff] : entries) {
+        if (row >= constraints_.size())
+            throw std::out_of_range("LpProblem: column references unknown constraint");
+        if (!std::isfinite(coeff))
+            throw std::invalid_argument("LpProblem: non-finite constraint coefficient");
+    }
+    const std::int32_t var = add_variable(objective_coefficient);
+    for (const auto& [row, coeff] : entries) constraints_[row].terms.emplace_back(var, coeff);
+    return var;
+}
+
 void LpProblem::set_constraint_rhs(std::size_t index, double rhs) {
     if (index >= constraints_.size())
         throw std::out_of_range("LpProblem: constraint index out of range");
@@ -72,6 +85,7 @@ std::string to_string(LpStatus status) {
     case LpStatus::Infeasible: return "infeasible";
     case LpStatus::Unbounded: return "unbounded";
     case LpStatus::IterationLimit: return "iteration-limit";
+    case LpStatus::Cancelled: return "cancelled";
     }
     return "?";
 }

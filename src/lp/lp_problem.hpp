@@ -31,6 +31,13 @@ public:
     void add_constraint(std::vector<std::pair<std::int32_t, double>> terms, Relation relation,
                         double rhs);
 
+    /// Appends a variable with its column: `entries` are (constraint index,
+    /// coefficient) pairs, each constraint index at most once. The new id is
+    /// the largest, so every row's terms stay sorted — a problem grown this
+    /// way is what SimplexSolver's appended-columns warm restart recognizes.
+    std::int32_t add_column(double objective_coefficient,
+                            const std::vector<std::pair<std::size_t, double>>& entries);
+
     std::size_t variable_count() const noexcept { return objective_.size(); }
     std::size_t constraint_count() const noexcept { return constraints_.size(); }
     const std::vector<double>& objective() const noexcept { return objective_; }
@@ -56,12 +63,17 @@ private:
     std::vector<Constraint> constraints_;
 };
 
-enum class LpStatus { Optimal, Infeasible, Unbounded, IterationLimit };
+enum class LpStatus { Optimal, Infeasible, Unbounded, IterationLimit, Cancelled };
 
 struct LpSolution {
     LpStatus status = LpStatus::IterationLimit;
     double objective = 0.0;
     std::vector<double> x; ///< values of the original variables
+    /// Row duals of an optimal solve, one per constraint: every variable's
+    /// reduced cost c_j - sum_i duals[i] * a_ij is >= 0, duals are <= 0 on
+    /// <= rows and >= 0 on >= rows, and sum_i duals[i] * rhs_i equals the
+    /// objective. Empty unless status is Optimal.
+    std::vector<double> duals;
 
     bool optimal() const noexcept { return status == LpStatus::Optimal; }
 };

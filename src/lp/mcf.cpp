@@ -1,172 +1,15 @@
 #include "lp/mcf.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "lp/mcf_approx.hpp"
+#include "lp/mcf_colgen.hpp"
 
 namespace nocmap::lp {
 
 namespace {
-
-/// Tiny per-unit-flow cost added to slack/min-max objectives so the LP does
-/// not return flow cycles or needlessly long paths among cost-equal optima.
-constexpr double kFlowRegularizer = 1e-6;
-
-struct VariableLayout {
-    // var_of[k][link] = LP variable id or -1 when the link is not allowed
-    // for commodity k.
-    std::vector<std::vector<std::int32_t>> var_of;
-};
-
-/// Per-link LP variable lookup for solution extraction: either the dense
-/// lookup of solve_exact's layout or the implicit k*L+l layout of the
-/// McfSolver skeleton.
-using VarOf = std::function<std::int32_t(std::size_t k, std::size_t l)>;
-
-/// Turns an optimal (or failed) LP solution into an McfResult: per-commodity
-/// flows, aggregate loads and the objective/feasibility semantics of each
-/// program.
-McfResult extract_exact(const noc::Topology& topo,
-                        const std::vector<noc::Commodity>& commodities,
-                        const McfOptions& options, const LpSolution& lp, const VarOf& var_of,
-                        const std::vector<std::int32_t>& slack_var, std::int32_t z_var) {
-    const std::size_t link_count = topo.link_count();
-    McfResult result;
-    result.status = lp.status;
-    result.solved = lp.status == LpStatus::Optimal;
-    result.loads.assign(link_count, 0.0);
-    result.flows.assign(commodities.size(), std::vector<double>(link_count, 0.0));
-    if (!result.solved) {
-        // MinFlow with tight capacities can be genuinely infeasible; that is
-        // a meaningful answer, not an error.
-        result.feasible = false;
-        return result;
-    }
-
-    for (std::size_t k = 0; k < commodities.size(); ++k)
-        for (std::size_t l = 0; l < link_count; ++l) {
-            const std::int32_t v = var_of(k, l);
-            if (v < 0) continue;
-            const double flow = lp.x[static_cast<std::size_t>(v)];
-            result.flows[k][l] = flow;
-            result.loads[l] += flow;
-        }
-
-    switch (options.objective) {
-    case McfObjective::MinSlack: {
-        double slack_total = 0.0;
-        for (std::size_t l = 0; l < link_count; ++l)
-            slack_total += lp.x[static_cast<std::size_t>(slack_var[l])];
-        result.objective = slack_total;
-        result.feasible = slack_total <= 1e-6 * std::max(1.0, noc::total_value(commodities));
-        break;
-    }
-    case McfObjective::MinFlow:
-        result.objective = noc::total_flow(result.loads);
-        result.feasible = true;
-        break;
-    case McfObjective::MinMaxLoad:
-        result.objective = lp.x[static_cast<std::size_t>(z_var)];
-        result.feasible = true;
-        break;
-    }
-    return result;
-}
-
-McfResult solve_exact(const noc::Topology& topo,
-                      const std::vector<noc::Commodity>& commodities,
-                      const McfOptions& options,
-                      const std::vector<std::vector<noc::LinkId>>& allowed) {
-    const std::size_t link_count = topo.link_count();
-    LpProblem problem;
-    VariableLayout layout;
-    layout.var_of.assign(commodities.size(),
-                         std::vector<std::int32_t>(link_count, -1));
-
-    const double flow_cost =
-        options.objective == McfObjective::MinFlow ? 1.0 : kFlowRegularizer;
-
-    // Flow variables.
-    for (std::size_t k = 0; k < commodities.size(); ++k) {
-        for (const noc::LinkId l : allowed[k]) {
-            layout.var_of[k][static_cast<std::size_t>(l)] =
-                problem.add_variable(flow_cost);
-        }
-    }
-
-    // Slack / min-max auxiliaries.
-    std::vector<std::int32_t> slack_var; // MinSlack: one per link
-    std::int32_t z_var = -1;             // MinMaxLoad
-    if (options.objective == McfObjective::MinSlack) {
-        slack_var.assign(link_count, -1);
-        for (std::size_t l = 0; l < link_count; ++l)
-            slack_var[l] = problem.add_variable(1.0, "s" + std::to_string(l));
-    } else if (options.objective == McfObjective::MinMaxLoad) {
-        z_var = problem.add_variable(1.0, "z");
-    }
-
-    // Flow conservation (Eq. 5/6) per commodity and node; the destination
-    // row is the negated sum of the others and is dropped to reduce
-    // degeneracy.
-    for (std::size_t k = 0; k < commodities.size(); ++k) {
-        const noc::Commodity& c = commodities[k];
-        for (std::size_t node = 0; node < topo.tile_count(); ++node) {
-            const auto u = static_cast<noc::TileId>(node);
-            if (u == c.dst_tile) continue;
-            std::vector<std::pair<std::int32_t, double>> terms;
-            for (const noc::LinkId l : topo.out_links(u)) {
-                const std::int32_t v = layout.var_of[k][static_cast<std::size_t>(l)];
-                if (v >= 0) terms.emplace_back(v, 1.0);
-            }
-            for (const noc::LinkId l : topo.in_links(u)) {
-                const std::int32_t v = layout.var_of[k][static_cast<std::size_t>(l)];
-                if (v >= 0) terms.emplace_back(v, -1.0);
-            }
-            const double rhs = (u == c.src_tile) ? c.value : 0.0;
-            if (terms.empty()) {
-                if (rhs != 0.0)
-                    throw std::logic_error("MCF: source has no allowed outgoing links");
-                continue;
-            }
-            problem.add_constraint(std::move(terms), Relation::Equal, rhs);
-        }
-    }
-
-    // Capacity rows (Inequality 3, with the objective-specific auxiliary).
-    for (std::size_t l = 0; l < link_count; ++l) {
-        std::vector<std::pair<std::int32_t, double>> terms;
-        for (std::size_t k = 0; k < commodities.size(); ++k) {
-            const std::int32_t v = layout.var_of[k][l];
-            if (v >= 0) terms.emplace_back(v, 1.0);
-        }
-        if (terms.empty()) continue;
-        switch (options.objective) {
-        case McfObjective::MinSlack:
-            terms.emplace_back(slack_var[l], -1.0);
-            problem.add_constraint(std::move(terms), Relation::LessEqual,
-                                   topo.link(static_cast<noc::LinkId>(l)).capacity);
-            break;
-        case McfObjective::MinFlow:
-            problem.add_constraint(std::move(terms), Relation::LessEqual,
-                                   topo.link(static_cast<noc::LinkId>(l)).capacity);
-            break;
-        case McfObjective::MinMaxLoad:
-            terms.emplace_back(z_var, -1.0);
-            problem.add_constraint(std::move(terms), Relation::LessEqual, 0.0);
-            break;
-        }
-    }
-
-    const LpSolution lp = solve_lp(problem, options.simplex);
-    return extract_exact(topo, commodities, options, lp,
-                         [&layout](std::size_t k, std::size_t l) {
-                             return layout.var_of[k][l];
-                         },
-                         slack_var, z_var);
-}
 
 /// Per-commodity allowed-link lists; `InQuadrant` is either the topology's
 /// or the context's membership test (identical truth tables).
@@ -305,6 +148,8 @@ McfResult empty_instance_result(const noc::Topology& topo) {
     empty.feasible = true;
     empty.status = LpStatus::Optimal;
     empty.loads.assign(topo.link_count(), 0.0);
+    empty.certificate.present = true;
+    empty.certificate.link_duals.assign(topo.link_count(), 0.0);
     return empty;
 }
 
@@ -313,11 +158,14 @@ McfResult empty_instance_result(const noc::Topology& topo) {
 McfResult solve_mcf(const noc::Topology& topo, const std::vector<noc::Commodity>& commodities,
                     const McfOptions& options) {
     if (commodities.empty()) return empty_instance_result(topo);
-    if (options.use_exact_lp)
-        return solve_exact(topo, commodities, options,
-                           allowed_per_commodity(commodities, [&](const noc::Commodity& c) {
-                               return allowed_links(topo, c, options.quadrant_restricted);
-                           }));
+    if (options.use_exact_lp) {
+        if (!options.quadrant_restricted)
+            return solve_mcf_colgen(topo, commodities, options, nullptr);
+        const auto allowed = allowed_per_commodity(commodities, [&](const noc::Commodity& c) {
+            return allowed_links(topo, c, true);
+        });
+        return solve_mcf_colgen(topo, commodities, options, &allowed);
+    }
     return solve_mcf_approx(topo, commodities, options);
 }
 
@@ -325,141 +173,21 @@ McfResult solve_mcf(const noc::EvalContext& ctx, const std::vector<noc::Commodit
                     const McfOptions& options) {
     const noc::Topology& topo = ctx.topology();
     if (commodities.empty()) return empty_instance_result(topo);
-    const auto ctx_allowed = [&](const noc::Commodity& c) {
-        return allowed_links(ctx, c, options.quadrant_restricted);
-    };
-    if (options.use_exact_lp)
-        return solve_exact(topo, commodities, options,
-                           allowed_per_commodity(commodities, ctx_allowed));
-    if (options.quadrant_restricted) {
-        const auto allowed = allowed_per_commodity(commodities, ctx_allowed);
-        return solve_mcf_approx(topo, commodities, options, &allowed, nullptr);
-    }
-    return solve_mcf_approx(topo, commodities, options);
+    if (!options.quadrant_restricted)
+        return options.use_exact_lp ? solve_mcf_colgen(topo, commodities, options, nullptr)
+                                    : solve_mcf_approx(topo, commodities, options);
+    const auto allowed = allowed_per_commodity(commodities, [&](const noc::Commodity& c) {
+        return allowed_links(ctx, c, true);
+    });
+    return options.use_exact_lp
+               ? solve_mcf_colgen(topo, commodities, options, &allowed)
+               : solve_mcf_approx(topo, commodities, options, &allowed, nullptr);
 }
 
 // ----------------------------------------------------------------- McfSolver
 
 McfSolver::McfSolver(const noc::EvalContext& ctx, McfOptions options)
     : ctx_(ctx), options_(std::move(options)) {}
-
-void McfSolver::build_skeleton(const std::vector<noc::Commodity>& commodities) {
-    ++stats_.skeleton_rebuilds;
-    const noc::Topology& topo = ctx_.topology();
-    const std::size_t link_count = topo.link_count();
-    const std::size_t tiles = topo.tile_count();
-    const std::size_t K = commodities.size();
-
-    skeleton_ = LpProblem{};
-    slack_var_.clear();
-    z_var_ = -1;
-    conservation_row_.assign(K * tiles, -1);
-    dirty_rows_.clear();
-    simplex_.invalidate();
-
-    const double flow_cost =
-        options_.objective == McfObjective::MinFlow ? 1.0 : kFlowRegularizer;
-    for (std::size_t k = 0; k < K; ++k)
-        for (std::size_t l = 0; l < link_count; ++l) skeleton_.add_variable(flow_cost);
-
-    if (options_.objective == McfObjective::MinSlack) {
-        slack_var_.assign(link_count, -1);
-        for (std::size_t l = 0; l < link_count; ++l)
-            slack_var_[l] = skeleton_.add_variable(1.0, "s" + std::to_string(l));
-    } else if (options_.objective == McfObjective::MinMaxLoad) {
-        z_var_ = skeleton_.add_variable(1.0, "z");
-    }
-
-    // Conservation rows with a *fixed* dropped node (the last tile) instead
-    // of each commodity's destination: out - in = +value at src, -value at
-    // dst, 0 elsewhere. One row per commodity is dependent and may be
-    // dropped; pinning which one makes the row layout mapping-independent,
-    // so consecutive candidates differ in RHS only.
-    const auto drop = static_cast<std::size_t>(tiles - 1);
-    std::int32_t row = 0;
-    for (std::size_t k = 0; k < K; ++k) {
-        for (std::size_t node = 0; node < tiles; ++node) {
-            if (node == drop) continue;
-            const auto u = static_cast<noc::TileId>(node);
-            std::vector<std::pair<std::int32_t, double>> terms;
-            for (const noc::LinkId l : topo.out_links(u))
-                terms.emplace_back(
-                    static_cast<std::int32_t>(k * link_count + static_cast<std::size_t>(l)),
-                    1.0);
-            for (const noc::LinkId l : topo.in_links(u))
-                terms.emplace_back(
-                    static_cast<std::int32_t>(k * link_count + static_cast<std::size_t>(l)),
-                    -1.0);
-            if (terms.empty()) continue; // isolated tile — guarded at refresh
-            conservation_row_[k * tiles + node] = row++;
-            skeleton_.add_constraint(std::move(terms), Relation::Equal, 0.0);
-        }
-    }
-
-    // Capacity rows (structure and rhs are mapping-independent).
-    for (std::size_t l = 0; l < link_count; ++l) {
-        std::vector<std::pair<std::int32_t, double>> terms;
-        for (std::size_t k = 0; k < K; ++k)
-            terms.emplace_back(static_cast<std::int32_t>(k * link_count + l), 1.0);
-        switch (options_.objective) {
-        case McfObjective::MinSlack:
-            terms.emplace_back(slack_var_[l], -1.0);
-            skeleton_.add_constraint(std::move(terms), Relation::LessEqual,
-                                     topo.link(static_cast<noc::LinkId>(l)).capacity);
-            break;
-        case McfObjective::MinFlow:
-            skeleton_.add_constraint(std::move(terms), Relation::LessEqual,
-                                     topo.link(static_cast<noc::LinkId>(l)).capacity);
-            break;
-        case McfObjective::MinMaxLoad:
-            terms.emplace_back(z_var_, -1.0);
-            skeleton_.add_constraint(std::move(terms), Relation::LessEqual, 0.0);
-            break;
-        }
-    }
-
-    skeleton_valid_ = true;
-    skeleton_commodities_ = K;
-}
-
-McfResult McfSolver::solve_skeleton(const std::vector<noc::Commodity>& commodities) {
-    const noc::Topology& topo = ctx_.topology();
-    const std::size_t tiles = topo.tile_count();
-    if (!skeleton_valid_ || skeleton_commodities_ != commodities.size())
-        build_skeleton(commodities);
-
-    // RHS refresh: clear the previous candidate's nonzero rows, then write
-    // the new endpoints. O(commodities), not O(rows).
-    for (const std::size_t r : dirty_rows_) skeleton_.set_constraint_rhs(r, 0.0);
-    dirty_rows_.clear();
-    for (std::size_t k = 0; k < commodities.size(); ++k) {
-        const noc::Commodity& c = commodities[k];
-        const auto bump = [&](noc::TileId tile, double delta) {
-            const auto node = static_cast<std::size_t>(tile);
-            const std::int32_t row = conservation_row_[k * tiles + node];
-            if (row < 0) {
-                // The dropped row is implied by the others; an isolated tile
-                // carrying demand is not representable.
-                if (delta != 0.0 && node != tiles - 1)
-                    throw std::logic_error("MCF: commodity endpoint on an isolated tile");
-                return;
-            }
-            const auto r = static_cast<std::size_t>(row);
-            skeleton_.set_constraint_rhs(r, skeleton_.constraints()[r].rhs + delta);
-            dirty_rows_.push_back(r);
-        };
-        bump(c.src_tile, c.value);
-        bump(c.dst_tile, -c.value);
-    }
-
-    const LpSolution lp = simplex_.solve(skeleton_, options_.simplex);
-    const std::size_t link_count = topo.link_count();
-    return extract_exact(topo, commodities, options_, lp,
-                         [link_count](std::size_t k, std::size_t l) {
-                             return static_cast<std::int32_t>(k * link_count + l);
-                         },
-                         slack_var_, z_var_);
-}
 
 McfResult McfSolver::solve(const std::vector<noc::Commodity>& commodities) {
     ++stats_.solves;
@@ -476,11 +204,11 @@ McfResult McfSolver::solve(const std::vector<noc::Commodity>& commodities) {
         }
         return solve_mcf_approx(topo, commodities, options_, nullptr, warm);
     }
-    if (options_.warm_start && !options_.quadrant_restricted)
-        return solve_skeleton(commodities);
-    // Quadrant mode changes the column structure with the mapping: build
-    // fresh and solve cold (the documented fallback).
-    return solve_mcf(ctx_, commodities, options_);
+    if (!options_.warm_start || options_.quadrant_restricted)
+        return solve_mcf(ctx_, commodities, options_);
+    McfResult result = solve_mcf_colgen(topo, commodities, options_, nullptr, &pool_);
+    stats_.pool_seeded = pool_.seeded;
+    return result;
 }
 
 } // namespace nocmap::lp

@@ -12,9 +12,13 @@
 // commodity (Eq. 10) — split across *minimum* paths only (the "TM" mode,
 // equal hop delay, low jitter) — or allowed to use all paths ("TA").
 //
-// Two engines: the exact simplex LP (lp/simplex) and a fast Frank–Wolfe
-// approximation (lp/mcf_approx) used inside NMAP's pairwise-swap loop.
+// Two engines: the exact LP, solved by column generation over paths
+// (lp/mcf_colgen, a small restricted master on lp/simplex), and a fast
+// Frank–Wolfe approximation (lp/mcf_approx) used inside NMAP's
+// pairwise-swap loop.
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "lp/simplex.hpp"
@@ -35,20 +39,38 @@ struct McfOptions {
     McfObjective objective = McfObjective::MinFlow;
     /// Eq. 10: flow variables restricted to each commodity's quadrant.
     bool quadrant_restricted = false;
-    /// Exact simplex (true) or Frank–Wolfe approximation (false).
+    /// Exact LP by column generation (true) or Frank–Wolfe approximation
+    /// (false).
     bool use_exact_lp = true;
     /// Iterations for the approximate engine.
     std::size_t approx_iterations = 48;
     /// Reuse solver state across consecutive solves of perturbed instances.
     /// Only meaningful through an McfSolver (or an ApproxWarmState handle):
-    /// the exact engine then re-solves a fixed LP skeleton from the previous
-    /// optimal basis, and the Frank–Wolfe engine seeds its initial flow from
-    /// the previous candidate's solution. Off by default — the warm paths
+    /// the exact engine then seeds column generation with the previous
+    /// optima's paths (ColumnPool), and the Frank–Wolfe engine seeds its
+    /// initial flow from the previous candidate's solution. Off by default — the warm paths
     /// converge to the same objectives but may pick different cost-equal
     /// optima, so the default results stay bit-identical to the one-shot
     /// engines.
     bool warm_start = false;
     SimplexOptions simplex{};
+    /// Cooperative cancellation of the exact engine, polled once per
+    /// pricing round; a cancelled solve returns unsolved with status
+    /// LpStatus::Cancelled.
+    std::function<bool()> cancel;
+};
+
+/// Dual certificate of an exact solve, checked by verify_mcf_certificate.
+/// For an optimal result the duals give every allowed path of commodity k a
+/// non-negative reduced cost (its weight under link weights flow_cost - y_l,
+/// minus demand_duals[k]) and their objective equals the primal one. For an
+/// infeasible MinFlow result they are phase-1 duals with a positive
+/// objective, a lower bound on the unroutable demand.
+struct McfCertificate {
+    bool present = false;
+    bool proves_infeasible = false;
+    std::vector<double> demand_duals; ///< u_k, one per commodity
+    std::vector<double> link_duals;   ///< y_l <= 0, one per link
 };
 
 struct McfResult {
@@ -59,6 +81,9 @@ struct McfResult {
     noc::LinkLoads loads;                   ///< aggregate per-link traffic
     std::vector<std::vector<double>> flows; ///< [commodity][link] traffic
     LpStatus status = LpStatus::IterationLimit;
+    /// Filled by the exact engine (and for the empty instance); absent from
+    /// Frank–Wolfe answers.
+    McfCertificate certificate;
 };
 
 /// Solves the selected MCF program for a fixed mapping (commodities already
@@ -92,22 +117,36 @@ struct ApproxWarmState {
     std::vector<std::vector<std::pair<noc::LinkId, noc::TileId>>> all_paths_out;
 };
 
+/// Column pool of the exact engine, carried across solves by McfSolver's
+/// warm exact mode: for each (source tile, destination tile) pair, the
+/// paths that carried flow in the latest optimum with those endpoints.
+/// Allowed paths depend only on the endpoints, so they seed any later
+/// commodity with the same pair.
+struct ColumnPool {
+    /// Paths of the pair (src, dst) at src * tile_count + dst.
+    std::vector<std::vector<noc::Route>> paths;
+    std::size_t seeded = 0; ///< commodities seeded from the pool so far
+
+    std::vector<noc::Route>& paths_of(const noc::Commodity& c, std::size_t tile_count) {
+        paths.resize(tile_count * tile_count);
+        return paths[static_cast<std::size_t>(c.src_tile) * tile_count +
+                     static_cast<std::size_t>(c.dst_tile)];
+    }
+};
+
 /// Persistent MCF engine for a chain of per-candidate instances — the swap
 /// sweeps of the split mappers solve the same program over and over with
 /// only the commodity tile endpoints moving. The solver keeps:
 ///
-///   * exact engine, all-paths mode: one LP skeleton per (topology,
-///     commodity count) — variables, conservation rows (dropping the rows
-///     of the fixed last tile instead of each commodity's destination, so
-///     the structure is mapping-independent) and capacity rows are built
-///     once; each candidate only rewrites the conservation RHS and
-///     re-solves through a SimplexSolver, which warm-restarts from the
-///     previous optimal basis (candidates differ by RHS only);
+///   * exact engine, all-paths mode: a ColumnPool. A swap moves only the
+///     commodities touching the two tiles; every other commodity starts
+///     its column generation from the paths of the previous optimum
+///     instead of a fresh min-hop seed, so congested candidates need fewer
+///     pricing rounds;
 ///   * approximate engine: an ApproxWarmState (flow seeding + shared
 ///     routing graph);
-///   * exact engine, quadrant mode: the column structure changes with the
-///     mapping, so every candidate is built fresh and solved cold (the
-///     documented fallback).
+///   * exact engine, quadrant mode: no state; every candidate is solved
+///     cold (the documented fallback).
 ///
 /// The caller must keep the EvalContext alive for the solver's lifetime.
 /// With warm_start=false the solver simply forwards to solve_mcf().
@@ -115,40 +154,43 @@ class McfSolver {
 public:
     McfSolver(const noc::EvalContext& ctx, McfOptions options);
 
-    /// Solves for the given commodity endpoints. The warm paths engage when
-    /// the commodity count matches the previous call; anything else
-    /// rebuilds from scratch (correct, just cold).
+    /// Solves for the given commodity endpoints (any commodity count).
     McfResult solve(const std::vector<noc::Commodity>& commodities);
 
     struct Stats {
         std::size_t solves = 0;
-        std::size_t skeleton_rebuilds = 0; ///< exact skeleton constructions
+        std::size_t pool_seeded = 0; ///< commodities seeded from the column pool
     };
     const Stats& stats() const noexcept { return stats_; }
-    /// The underlying simplex engine (warm/cold/pivot counters).
-    const SimplexSolver& simplex() const noexcept { return simplex_; }
 
 private:
-    void build_skeleton(const std::vector<noc::Commodity>& commodities);
-    McfResult solve_skeleton(const std::vector<noc::Commodity>& commodities);
-
     const noc::EvalContext& ctx_;
     McfOptions options_;
-    SimplexSolver simplex_;
     ApproxWarmState approx_warm_;
+    ColumnPool pool_;
     Stats stats_;
-
-    // Exact all-paths skeleton. Flow variable of (commodity k, link l) is
-    // k * link_count + l; conservation_row_[k * tile_count + node] is the
-    // row index of that node's conservation constraint (-1 when dropped).
-    bool skeleton_valid_ = false;
-    std::size_t skeleton_commodities_ = 0;
-    LpProblem skeleton_;
-    std::vector<std::int32_t> slack_var_;
-    std::int32_t z_var_ = -1;
-    std::vector<std::int32_t> conservation_row_;
-    std::vector<std::size_t> dirty_rows_; ///< rows whose rhs is nonzero
 };
+
+struct CertificateVerdict {
+    bool ok = false;
+    std::string reason; ///< why the certificate was rejected; empty when ok
+    explicit operator bool() const noexcept { return ok; }
+};
+
+/// Independently checks an exact result against its certificate:
+///   * the arc flows use only allowed links, conserve flow (Eq. 5/6), sum
+///     to the loads and respect the capacities (MinFlow) or the reported
+///     slack / bandwidth (MinSlack / MinMaxLoad);
+///   * one more pricing pass over all commodities finds no path with
+///     reduced cost below -eps * max(1, |u_k|), and the auxiliary columns
+///     (slack, z) and link duals are dual feasible;
+///   * primal and dual objectives match within 1e-9 relative.
+/// An infeasibility certificate must instead give a positive phase-1 dual
+/// objective under the same pricing check.
+CertificateVerdict verify_mcf_certificate(const noc::Topology& topo,
+                                          const std::vector<noc::Commodity>& commodities,
+                                          const McfOptions& options, const McfResult& result,
+                                          double eps = 1e-7);
 
 /// Verifies Eq. 5/6 flow conservation of a per-commodity flow matrix;
 /// returns the largest violation found (0 for a perfect solution).

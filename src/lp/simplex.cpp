@@ -78,6 +78,33 @@ TableauView Tableau::view() noexcept {
     return TableauView(cells(), cost_row(), basis(), rows_, cols_, stride());
 }
 
+void Tableau::insert_columns(std::size_t at, std::size_t count) {
+    if (count == 0) return;
+    const std::size_t cols = cols_ + count;
+    if (cols > col_capacity_) {
+        // The stride changes: copy row by row into a fresh (zeroed) buffer.
+        Tableau grown;
+        grown.reserve(row_capacity_, std::max(cols, col_capacity_ + col_capacity_ / 2));
+        grown.rows_ = rows_;
+        grown.cols_ = cols;
+        for (std::size_t r = 0; r <= rows_; ++r) {
+            const double* from = r < rows_ ? cells() + r * stride() : cost_row();
+            double* to = r < rows_ ? grown.cells() + r * grown.stride() : grown.cost_row();
+            std::copy(from, from + at, to);
+            std::copy(from + at, from + cols_ + 1, to + at + count);
+        }
+        std::copy(basis(), basis() + rows_, grown.basis());
+        *this = std::move(grown);
+        return;
+    }
+    for (std::size_t r = 0; r <= rows_; ++r) {
+        double* row = r < rows_ ? cells() + r * stride() : cost_row();
+        std::copy_backward(row + at, row + cols_ + 1, row + cols + 1);
+        std::fill(row + at, row + at + count, 0.0);
+    }
+    cols_ = cols;
+}
+
 // ---------------------------------------------------------------- pivot loop
 
 namespace {
@@ -145,12 +172,30 @@ void SimplexSolver::invalidate() noexcept {
 }
 
 SimplexSolver::Change SimplexSolver::classify(const LpProblem& problem) const {
-    if (problem.variable_count() != prev_problem_.variable_count() ||
-        problem.constraint_count() != prev_problem_.constraint_count())
+    if (problem.constraint_count() != prev_problem_.constraint_count())
         return Change::Structure;
-    bool rhs_changed = false;
     const auto& prev = prev_problem_.constraints();
     const auto& next = problem.constraints();
+    const std::size_t old_vars = prev_problem_.variable_count();
+    if (problem.variable_count() != old_vars) {
+        if (problem.variable_count() < old_vars ||
+            !std::equal(prev_problem_.objective().begin(), prev_problem_.objective().end(),
+                        problem.objective().begin()))
+            return Change::Structure;
+        for (std::size_t i = 0; i < next.size(); ++i) {
+            const auto& old_terms = prev[i].terms;
+            const auto& new_terms = next[i].terms;
+            if (next[i].relation != prev[i].relation || next[i].rhs != prev[i].rhs ||
+                new_terms.size() < old_terms.size() ||
+                !std::equal(old_terms.begin(), old_terms.end(), new_terms.begin()))
+                return Change::Structure;
+            for (std::size_t t = old_terms.size(); t < new_terms.size(); ++t)
+                if (static_cast<std::size_t>(new_terms[t].first) < old_vars)
+                    return Change::Structure;
+        }
+        return Change::Columns;
+    }
+    bool rhs_changed = false;
     for (std::size_t i = 0; i < next.size(); ++i) {
         if (next[i].relation != prev[i].relation || next[i].terms != prev[i].terms)
             return Change::Structure;
@@ -178,11 +223,51 @@ LpSolution SimplexSolver::extract(const LpProblem& problem, TableauView& tab) co
     for (double& v : solution.x)
         if (v < 0.0 && v > -1e-7) v = 0.0;
     solution.objective = -tab.cost_rhs();
+    // Row i's initial identity column holds -(c_B B^-1)_i of the
+    // sign-normalized system: the dual of that row, up to the row's sign.
+    solution.duals.resize(problem.constraint_count());
+    for (std::size_t i = 0; i < solution.duals.size(); ++i)
+        solution.duals[i] =
+            -row_sign_[i] * tab.cost(static_cast<std::size_t>(init_basis_col_[i]));
     return solution;
+}
+
+void SimplexSolver::append_columns(const LpProblem& problem) {
+    const std::size_t old_struct = n_struct_;
+    const std::size_t added = problem.variable_count() - old_struct;
+    tableau_.insert_columns(old_struct, added);
+    TableauView tab = tableau_.view();
+    const auto shifted = [&](std::int32_t col) {
+        return static_cast<std::size_t>(col) >= old_struct
+                   ? col + static_cast<std::int32_t>(added)
+                   : col;
+    };
+    for (std::size_t r = 0; r < tab.rows(); ++r) tab.set_basis(r, shifted(tab.basis(r)));
+    for (std::int32_t& col : init_basis_col_) col = shifted(col);
+    allowed_.insert(allowed_.begin() + static_cast<std::ptrdiff_t>(old_struct), added, 1);
+    n_struct_ += added;
+    n_total_ += added;
+
+    // A new column's tableau entries are B^-1 (S a) and its reduced cost is
+    // c - y·a; both are sums over the initial identity columns of its rows.
+    for (std::size_t v = old_struct; v < n_struct_; ++v) tab.cost(v) = problem.objective()[v];
+    const auto& constraints = problem.constraints();
+    for (std::size_t i = 0; i < constraints.size(); ++i) {
+        const auto init = static_cast<std::size_t>(init_basis_col_[i]);
+        const auto& terms = constraints[i].terms;
+        for (auto it = terms.rbegin();
+             it != terms.rend() && static_cast<std::size_t>(it->first) >= old_struct; ++it) {
+            const auto col = static_cast<std::size_t>(it->first);
+            const double a = row_sign_[i] * it->second;
+            for (std::size_t r = 0; r < tab.rows(); ++r) tab.at(r, col) += a * tab.at(r, init);
+            tab.cost(col) += a * tab.cost(init);
+        }
+    }
 }
 
 bool SimplexSolver::try_warm(const LpProblem& problem, const SimplexOptions& options,
                              Change change, LpSolution& solution) {
+    if (change == Change::Columns) append_columns(problem);
     TableauView tab = tableau_.view();
     const std::size_t m = tab.rows();
     const double eps = options.eps;
@@ -260,9 +345,22 @@ bool SimplexSolver::try_warm(const LpProblem& problem, const SimplexOptions& opt
         return false; // stalled — fall back cold
     }
 
-    // Cost-only change: the basic solution stays primal feasible; rebuild
-    // the reduced-cost row for the new objective and continue with phase-2
-    // primal pivots from the current basis.
+    // Cost-only change or appended columns: the basic solution stays primal
+    // feasible; continue with phase-2 primal pivots from the current basis
+    // (after rebuilding the reduced-cost row for a new objective).
+    if (change == Change::Cost) rebuild_cost_row(problem, tab);
+    std::size_t iterations_used = 0;
+    const PivotOutcome outcome = optimize(tab, allowed_, options, cap, iterations_used);
+    stats_.pivots += iterations_used;
+    if (outcome != PivotOutcome::Optimal) return false; // unbounded/stall -> cold decides
+    solution = extract(problem, tab);
+    prev_problem_ = problem;
+    prev_solution_ = solution;
+    return true;
+}
+
+void SimplexSolver::rebuild_cost_row(const LpProblem& problem, TableauView& tab) const {
+    const std::size_t m = tab.rows();
     for (std::size_t c = 0; c < n_total_; ++c)
         tab.cost(c) = c < n_struct_ ? problem.objective()[c] : 0.0;
     tab.cost_rhs() = 0.0;
@@ -274,14 +372,6 @@ bool SimplexSolver::try_warm(const LpProblem& problem, const SimplexOptions& opt
         tab.cost_rhs() -= cost_b * tab.rhs(r);
         tab.cost(b) = 0.0;
     }
-    std::size_t iterations_used = 0;
-    const PivotOutcome outcome = optimize(tab, allowed_, options, cap, iterations_used);
-    stats_.pivots += iterations_used;
-    if (outcome != PivotOutcome::Optimal) return false; // unbounded/stall -> cold decides
-    solution = extract(problem, tab);
-    prev_problem_ = problem;
-    prev_solution_ = solution;
-    return true;
 }
 
 LpSolution SimplexSolver::solve_cold(const LpProblem& problem, const SimplexOptions& options) {

@@ -2,9 +2,15 @@
 // Dense two-phase primal simplex solver on a flat, capacity-reserved
 // tableau, with warm-started re-solves.
 //
-// Handles the MCF programs of the paper exactly (their dimensions on a
-// 16-tile mesh stay small). Dantzig pricing with a Bland-rule fallback for
-// anti-cycling; artificial variables for >= and = rows.
+// The tableau is dense, so its size is rows x columns doubles: it suits
+// small programs only. The MCF programs of the paper do not stay small in
+// their arc form — (commodities x links) columns, 314 MB on a 42-tile mesh
+// with 72 commodities — so lp/mcf solves them by column generation and
+// hands this solver only the restricted path master, (commodities + links)
+// rows by a few hundred columns. Dantzig pricing with a Bland-rule fallback
+// for anti-cycling; artificial variables for >= and = rows. Optimal solves
+// also report row duals (LpSolution::duals), read off the cost row at each
+// row's initial identity column.
 //
 // Storage follows the unmanaged-core / managed-owner idiom: `Tableau` owns
 // one contiguous allocation holding the constraint matrix, the objective
@@ -13,8 +19,8 @@
 // of its last solve) alive across calls, so re-solving a structurally
 // identical LP with perturbed bounds or costs — exactly what consecutive
 // swap candidates in the split mappers produce — restarts from that basis
-// (dual simplex for new bounds, phase-2 primal for new costs) instead of
-// paying construction plus a cold two-phase solve. Any structure change,
+// (dual simplex for new bounds, phase-2 primal for new costs or appended
+// columns) instead of paying construction plus a cold two-phase solve. Any structure change,
 // stall or non-optimal warm outcome falls back to the cold path, so a
 // solver never answers worse than solve_lp().
 
@@ -109,6 +115,12 @@ public:
     /// solver re-enters a kept tableau for a warm restart.
     TableauView view() noexcept;
 
+    /// Opens `count` zero columns before column `at` of the current shape,
+    /// shifting the columns from `at` on (and the right-hand side) to the
+    /// right in every row and in the cost row. Keeps the contents, growing
+    /// the allocation geometrically when the column capacity runs out.
+    void insert_columns(std::size_t at, std::size_t count);
+
     std::size_t row_capacity() const noexcept { return row_capacity_; }
     std::size_t col_capacity() const noexcept { return col_capacity_; }
     std::size_t allocation_bytes() const noexcept { return bytes_; }
@@ -134,11 +146,18 @@ private:
 ///   * identical problem        -> the cached solution is returned;
 ///   * same structure, new rhs  -> dual-simplex restart from the basis;
 ///   * same structure, new cost -> phase-2 primal restart from the basis;
+///   * appended columns         -> the old basis stays primal feasible: the
+///                                 new columns are priced in from B^-1 and
+///                                 phase-2 primal pivots continue;
 ///   * anything else            -> cold two-phase solve (and the warm state
 ///                                 is rebuilt from its result).
 ///
 /// "Same structure" means: equal variable/constraint counts, equal
-/// relations and bitwise-equal coefficient terms per row. A warm restart
+/// relations and bitwise-equal coefficient terms per row. "Appended
+/// columns" means: more variables, the old objective a prefix of the new
+/// one, and every row equal to the old row (relation, rhs, terms) followed
+/// only by terms of the new variables — what LpProblem::add_column
+/// produces. A warm restart
 /// that stalls (iteration cap) or leaves the optimal regime falls back to
 /// the cold path transparently; stats() says which path each solve took.
 class SimplexSolver {
@@ -164,12 +183,14 @@ public:
     const Tableau& tableau() const noexcept { return tableau_; }
 
 private:
-    enum class Change { None, Rhs, Cost, Structure };
+    enum class Change { None, Rhs, Cost, Columns, Structure };
 
     Change classify(const LpProblem& problem) const;
     LpSolution solve_cold(const LpProblem& problem, const SimplexOptions& options);
     bool try_warm(const LpProblem& problem, const SimplexOptions& options, Change change,
                   LpSolution& solution);
+    void append_columns(const LpProblem& problem);
+    void rebuild_cost_row(const LpProblem& problem, TableauView& tab) const;
     LpSolution extract(const LpProblem& problem, TableauView& tab) const;
     void remember(const LpProblem& problem, const LpSolution& solution, TableauView& tab);
 

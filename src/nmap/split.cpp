@@ -207,12 +207,15 @@ engine::SwapSweepDriver make_driver(const SplitOptions& options) {
     return engine::SwapSweepDriver(sweep);
 }
 
-/// Final exact scoring of the chosen mapping (one-shot, never warm).
+/// Final exact scoring of the chosen mapping (one-shot, never warm). The
+/// exact engine polls options.cancel once per pricing round; a cancelled
+/// polish comes back unsolved.
 lp::McfResult polish_mcf(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                          const noc::Mapping& mapping, const SplitOptions& options,
                          lp::McfObjective objective, bool exact) {
-    return lp::solve_mcf(ctx, noc::build_commodities(graph, mapping),
-                         make_mcf_options(options, objective, exact));
+    lp::McfOptions mcf = make_mcf_options(options, objective, exact);
+    mcf.cancel = options.cancel;
+    return lp::solve_mcf(ctx, noc::build_commodities(graph, mapping), mcf);
 }
 
 MappingResult map_minimizing_bandwidth(const graph::CoreGraph& graph,

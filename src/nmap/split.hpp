@@ -40,8 +40,8 @@ struct SplitOptions {
     /// Overrides exact_inner_lp when not Auto.
     McfEngine mcf_engine = McfEngine::Auto;
     /// Warm-start the inner engines across consecutive swap candidates: the
-    /// exact simplex re-solves a fixed LP skeleton from the previous optimal
-    /// basis, the Frank–Wolfe engine seeds flows from the previous
+    /// exact engine seeds column generation with the paths of the previous
+    /// optima, the Frank–Wolfe engine seeds flows from the previous
     /// candidate's solution (see lp::McfSolver). Objectives and feasibility
     /// verdicts match the cold engines; tie-breaking among cost-equal
     /// optimal *flows* may differ, hence default off for bit-stable output.
@@ -70,8 +70,11 @@ struct SplitOptions {
     /// with them the final mapping — can legitimately differ.
     bool routing_prefilter = false;
     /// Cooperative cancellation, polled at sweep-row boundaries (see
-    /// engine::SweepOptions::cancel); the best mapping so far still gets
-    /// its final exact scoring.
+    /// engine::SweepOptions::cancel) and once per pricing round of the
+    /// exact final polish. A cancelled polish returns unsolved, so a
+    /// cancelled run's result is the best mapping so far with an infeasible
+    /// verdict and cost kMaxValue — callers that cancel (deadlines) discard
+    /// it for a typed error.
     std::function<bool()> cancel;
 };
 

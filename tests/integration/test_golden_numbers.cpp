@@ -10,6 +10,7 @@
 #include "apps/registry.hpp"
 #include "baselines/gmap.hpp"
 #include "baselines/pmap.hpp"
+#include "lp/certified_mcf.hpp"
 #include "lp/mcf.hpp"
 #include "nmap/initialize.hpp"
 #include "nmap/single_path.hpp"
@@ -52,7 +53,7 @@ TEST(GoldenNumbers, VopdSplitBandwidth) {
     const auto d = noc::build_commodities(g, nm.mapping);
     lp::McfOptions ta;
     ta.objective = lp::McfObjective::MinMaxLoad;
-    EXPECT_NEAR(lp::solve_mcf(topo, d, ta).objective, 308.667, 0.01);
+    EXPECT_NEAR(lp::solve_certified(topo, d, ta).objective, 308.667, 0.01);
 }
 
 TEST(GoldenNumbers, DspDesign) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "certified_mcf.hpp"
+
 namespace nocmap::lp {
 namespace {
 
@@ -19,7 +21,7 @@ noc::Commodity make_commodity(std::int32_t id, noc::TileId src, noc::TileId dst,
 
 TEST(Mcf, EmptyCommoditySetTriviallyFeasible) {
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
-    const auto r = solve_mcf(topo, {}, {});
+    const auto r = solve_certified(topo, {}, {});
     EXPECT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_DOUBLE_EQ(noc::max_load(r.loads), 0.0);
@@ -31,7 +33,7 @@ TEST(Mcf, MinFlowEqualsValueTimesDistance) {
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(2, 1), 50.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_NEAR(r.objective, 50.0 * 3, 1e-6);
@@ -45,7 +47,7 @@ TEST(Mcf, MinFlowRespectsCapacities) {
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, r.loads, 1e-6));
@@ -61,7 +63,7 @@ TEST(Mcf, MinFlowInfeasibleWhenCutTooSmall) {
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 150.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     EXPECT_FALSE(r.feasible);
 }
 
@@ -72,7 +74,7 @@ TEST(Mcf, MinSlackZeroWhenAmple) {
         make_commodity(1, topo.tile_at(2, 0), topo.tile_at(0, 2), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinSlack;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_NEAR(r.objective, 0.0, 1e-6);
@@ -87,7 +89,7 @@ TEST(Mcf, MinSlackMeasuresUnavoidableViolation) {
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinSlack;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_FALSE(r.feasible);
     EXPECT_NEAR(r.objective, 40.0, 1e-4);
@@ -101,7 +103,7 @@ TEST(Mcf, MinMaxLoadSplitsAcrossDisjointPaths) {
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_NEAR(r.objective, 50.0, 1e-4);
     EXPECT_NEAR(noc::max_load(r.loads), 50.0, 1e-4);
@@ -113,7 +115,7 @@ TEST(Mcf, QuadrantRestrictionKeepsFlowInQuadrant) {
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
     opt.quadrant_restricted = true;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_certified(topo, {c}, opt);
     ASSERT_TRUE(r.solved);
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
         if (r.flows[0][l] <= 1e-9) continue;
@@ -141,7 +143,7 @@ TEST(Mcf, MultiCommodityCapacitySharing) {
         make_commodity(1, topo.tile_at(1, 0), topo.tile_at(2, 0), 40.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     const auto hot = topo.link_between(1, 2).value();
@@ -153,7 +155,7 @@ TEST(Mcf, ConservationViolationDetectsCorruption) {
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 10.0)};
     McfOptions opt;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     auto corrupted = r.flows;
     corrupted[0][0] += 5.0;
     EXPECT_GT(max_conservation_violation(topo, d, corrupted), 1.0);
@@ -163,7 +165,7 @@ TEST(Mcf, DecomposeSinglePath) {
     const auto topo = noc::Topology::mesh(3, 1, 100.0);
     const auto c = make_commodity(0, topo.tile_at(0, 0), topo.tile_at(2, 0), 50.0);
     McfOptions opt;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_certified(topo, {c}, opt);
     const auto paths = decompose_into_paths(topo, c, r.flows[0]);
     ASSERT_EQ(paths.size(), 1u);
     EXPECT_NEAR(paths[0].second, 1.0, 1e-9);
@@ -175,7 +177,7 @@ TEST(Mcf, DecomposeSplitFlows) {
     const auto c = make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0);
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_certified(topo, {c}, opt);
     const auto paths = decompose_into_paths(topo, c, r.flows[0]);
     ASSERT_EQ(paths.size(), 2u);
     double total = 0.0;

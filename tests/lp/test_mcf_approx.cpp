@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "certified_mcf.hpp"
 #include "util/rng.hpp"
 
 namespace nocmap::lp {
@@ -70,7 +71,7 @@ TEST_P(ApproxVsExact, MinMaxLoadWithinTolerance) {
     McfOptions exact;
     exact.objective = McfObjective::MinMaxLoad;
     exact.use_exact_lp = true;
-    const auto re = solve_mcf(topo, d, exact);
+    const auto re = solve_certified(topo, d, exact);
     ASSERT_TRUE(re.solved);
 
     McfOptions approx = exact;
@@ -91,7 +92,7 @@ TEST_P(ApproxVsExact, MinFlowWithinTolerance) {
 
     McfOptions exact;
     exact.objective = McfObjective::MinFlow;
-    const auto re = solve_mcf(topo, d, exact);
+    const auto re = solve_certified(topo, d, exact);
     ASSERT_TRUE(re.solved);
 
     McfOptions approx = exact;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
+#include "certified_mcf.hpp"
 #include "lp/mcf.hpp"
 #include "nmap/single_path.hpp"
 #include "noc/commodity.hpp"
@@ -32,7 +33,7 @@ TEST(McfExtra, TightCapacityForcesDetours) {
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 0), 150.0);
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_certified(topo, {c}, opt);
     ASSERT_TRUE(r.solved);
     ASSERT_TRUE(r.feasible);
     // 100 direct (1 hop) + 50 detour (3 hops) = 250 total flow, minimum.
@@ -49,14 +50,14 @@ TEST(McfExtra, QuadrantRestrictionCanBeInfeasibleWhereAllPathsIsNot) {
     McfOptions tm;
     tm.objective = McfObjective::MinSlack;
     tm.quadrant_restricted = true;
-    const auto restricted = solve_mcf(topo, {c}, tm);
+    const auto restricted = solve_certified(topo, {c}, tm);
     ASSERT_TRUE(restricted.solved);
     EXPECT_FALSE(restricted.feasible);
     EXPECT_NEAR(restricted.objective, 50.0, 1e-4); // unavoidable slack
 
     McfOptions ta = tm;
     ta.quadrant_restricted = false;
-    EXPECT_TRUE(solve_mcf(topo, {c}, ta).feasible);
+    EXPECT_TRUE(solve_certified(topo, {c}, ta).feasible);
 }
 
 TEST(McfExtra, TorusQuadrantUsesWrapLinks) {
@@ -66,7 +67,7 @@ TEST(McfExtra, TorusQuadrantUsesWrapLinks) {
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
     opt.quadrant_restricted = true;
-    const auto r = solve_mcf(torus, {c}, opt);
+    const auto r = solve_certified(torus, {c}, opt);
     ASSERT_TRUE(r.solved);
     // Only one minimal path (the single wrap link): all 60 on it.
     EXPECT_NEAR(r.objective, 60.0, 1e-4);
@@ -83,7 +84,7 @@ TEST(McfExtra, OppositeFlowsDoNotShareCapacity) {
                                         make_commodity(1, 1, 0, 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
 }
@@ -96,7 +97,7 @@ TEST(McfExtra, ExactSolverHandlesVopdScale) {
     const auto d = noc::build_commodities(g, mapping);
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_certified(topo, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     // Ample capacity: optimum is shortest-path flow = Eq.7 cost.
@@ -111,8 +112,8 @@ TEST(McfExtra, MinMaxScalesLinearlyWithDemand) {
     const auto c1 = make_commodity(0, 0, 8, 100.0);
     auto c2 = c1;
     c2.value = 300.0;
-    const double bw1 = solve_mcf(topo, {c1}, opt).objective;
-    const double bw3 = solve_mcf(topo, {c2}, opt).objective;
+    const double bw1 = solve_certified(topo, {c1}, opt).objective;
+    const double bw3 = solve_certified(topo, {c2}, opt).objective;
     EXPECT_NEAR(bw3, 3.0 * bw1, 1e-4);
 }
 

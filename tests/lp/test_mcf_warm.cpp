@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "certified_mcf.hpp"
 #include "lp/mcf_approx.hpp"
 #include "util/rng.hpp"
 
@@ -10,7 +11,7 @@ namespace {
 
 // McfSolver contract: a warm chain over swap-perturbed commodity sets must
 // agree with one-shot cold solves on feasibility and objective, while the
-// exact engine actually reuses its skeleton + basis.
+// exact engine actually seeds candidates from its carried column pool.
 
 /// Swap-chain generator: a tile permutation plays the mapping; each step
 /// swaps two tiles and re-derives the commodity endpoints, exactly like a
@@ -63,7 +64,14 @@ void expect_agrees_with_cold(const noc::EvalContext& ctx,
                              double rel_tol) {
     McfOptions cold_options = options;
     cold_options.warm_start = false;
-    const McfResult cold = solve_mcf(ctx, commodities, cold_options);
+    if (options.use_exact_lp) {
+        const CertificateVerdict verdict =
+            verify_mcf_certificate(ctx.topology(), commodities, options, warm);
+        EXPECT_TRUE(verdict.ok) << "warm: " << verdict.reason;
+    }
+    const McfResult cold = options.use_exact_lp
+                               ? solve_certified(ctx, commodities, cold_options)
+                               : solve_mcf(ctx, commodities, cold_options);
     EXPECT_EQ(warm.solved, cold.solved);
     EXPECT_EQ(warm.feasible, cold.feasible);
     if (cold.solved) {
@@ -90,10 +98,9 @@ TEST_P(McfWarmObjectives, ExactWarmChainAgreesWithCold) {
         const auto& commodities = chain.step();
         expect_agrees_with_cold(ctx, commodities, opt, solver.solve(commodities), 1e-6);
     }
-    // The skeleton was built once and the simplex actually restarted warm.
+    // Commodities a swap did not move started from the carried paths.
     EXPECT_EQ(solver.stats().solves, 13u);
-    EXPECT_EQ(solver.stats().skeleton_rebuilds, 1u);
-    EXPECT_GT(solver.simplex().stats().warm_solves, 0u);
+    EXPECT_GT(solver.stats().pool_seeded, 0u);
 }
 
 TEST_P(McfWarmObjectives, ExactWarmChainAgreesWithColdUnderTightCapacities) {
@@ -136,13 +143,13 @@ TEST(McfWarm, QuadrantModeFallsBackToColdBitIdentically) {
         const McfResult warm = solver.solve(commodities);
         McfOptions cold_options = opt;
         cold_options.warm_start = false;
-        const McfResult cold = solve_mcf(ctx, commodities, cold_options);
+        const McfResult cold = solve_certified(ctx, commodities, cold_options);
         EXPECT_EQ(warm.solved, cold.solved);
         EXPECT_EQ(warm.feasible, cold.feasible);
         EXPECT_EQ(warm.objective, cold.objective); // bitwise: same cold code path
         EXPECT_EQ(warm.flows, cold.flows);
     }
-    EXPECT_EQ(solver.stats().skeleton_rebuilds, 0u);
+    EXPECT_EQ(solver.stats().pool_seeded, 0u);
 }
 
 TEST(McfWarm, ApproxWarmChainAgreesWithCold) {
@@ -199,7 +206,7 @@ TEST(McfWarm, EmptyCommoditySetTriviallyFeasible) {
     EXPECT_DOUBLE_EQ(noc::max_load(r.loads), 0.0);
 }
 
-TEST(McfWarm, CommodityCountChangeRebuildsSkeleton) {
+TEST(McfWarm, CommodityCountChangeKeepsAgreeingWithCold) {
     const auto topo = noc::Topology::mesh(3, 3, 100.0);
     const auto ctx = noc::EvalContext::borrow(topo);
     McfOptions opt;
@@ -216,7 +223,9 @@ TEST(McfWarm, CommodityCountChangeRebuildsSkeleton) {
                             solver.solve(small.commodities()), 1e-6);
     expect_agrees_with_cold(ctx, big.commodities(), opt, solver.solve(big.commodities()),
                             1e-6);
-    EXPECT_EQ(solver.stats().skeleton_rebuilds, 3u);
+    // The pool is keyed by endpoint pair, not by commodity slot: the third
+    // solve reuses the first one's paths despite the count change between.
+    EXPECT_GT(solver.stats().pool_seeded, 0u);
 }
 
 } // namespace

@@ -37,6 +37,85 @@ void expect_matches_cold(const LpProblem& p, const LpSolution& warm, double tol 
         EXPECT_NEAR(warm.x[j], cold.x[j], 1e-6) << "x[" << j << "]";
 }
 
+/// Checks an optimal solution's row duals: sign per relation, every
+/// reduced cost non-negative, and y·b equal to the objective.
+void expect_duals_certify(const LpProblem& p, const LpSolution& sol) {
+    ASSERT_EQ(sol.status, LpStatus::Optimal);
+    ASSERT_EQ(sol.duals.size(), p.constraint_count());
+    std::vector<double> reduced = p.objective();
+    double dual_objective = 0.0;
+    for (std::size_t i = 0; i < p.constraint_count(); ++i) {
+        const Constraint& row = p.constraints()[i];
+        const double y = sol.duals[i];
+        if (row.relation == Relation::LessEqual) {
+            EXPECT_LE(y, 1e-9) << "row " << i;
+        } else if (row.relation == Relation::GreaterEqual) {
+            EXPECT_GE(y, -1e-9) << "row " << i;
+        }
+        for (const auto& [var, coeff] : row.terms)
+            reduced[static_cast<std::size_t>(var)] -= y * coeff;
+        dual_objective += y * row.rhs;
+    }
+    for (std::size_t j = 0; j < reduced.size(); ++j)
+        EXPECT_GE(reduced[j], -1e-8) << "x[" << j << "]";
+    EXPECT_NEAR(dual_objective, sol.objective, 1e-9 * std::max(1.0, std::abs(sol.objective)));
+}
+
+TEST(SimplexWarm, DualsCertifyOptimality) {
+    util::Rng rng(4242);
+    for (int trial = 0; trial < 10; ++trial) {
+        LpProblem p = random_ge_problem(rng, 6, 5);
+        // Mixed relations: a <= row and an equality row on top of the >= rows.
+        p.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::LessEqual, 10.0);
+        p.add_constraint({{2, 1.0}, {3, -1.0}}, Relation::Equal, 0.5);
+        expect_duals_certify(p, solve_lp(p));
+    }
+}
+
+TEST(SimplexWarm, AppendedColumnsRestartWarm) {
+    util::Rng rng(777);
+    LpProblem p = random_ge_problem(rng, 4, 6);
+    p.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, Relation::LessEqual, 50.0);
+    SimplexSolver solver;
+    double previous = solver.solve(p).objective;
+    for (int step = 0; step < 12; ++step) {
+        std::vector<std::pair<std::size_t, double>> entries;
+        for (std::size_t i = 0; i < p.constraint_count(); ++i)
+            if (rng.next_bool(0.7)) entries.emplace_back(i, rng.next_double_in(0.1, 1.5));
+        p.add_column(rng.next_double_in(0.05, 1.0), entries);
+        const LpSolution warm = solver.solve(p);
+        EXPECT_TRUE(solver.last_solve_was_warm()) << "step " << step;
+        const LpSolution cold = solve_lp(p);
+        ASSERT_EQ(warm.status, LpStatus::Optimal);
+        EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * std::max(1.0, cold.objective));
+        EXPECT_LE(warm.objective, previous + 1e-12); // more columns never hurt
+        expect_duals_certify(p, warm);
+        previous = warm.objective;
+    }
+    EXPECT_EQ(solver.stats().cold_solves, 1u);
+    EXPECT_EQ(solver.stats().warm_solves, 12u);
+}
+
+TEST(SimplexWarm, AppendedColumnsGrowTheTableauInPlace) {
+    // Columns appended past the reserved capacity reallocate the tableau;
+    // the restart must still match a cold solve.
+    util::Rng rng(5);
+    LpProblem p = random_ge_problem(rng, 2, 3);
+    SimplexSolver solver;
+    solver.solve(p);
+    const std::size_t capacity = solver.tableau().col_capacity();
+    for (std::size_t step = 0; step < capacity + 4; ++step) {
+        p.add_column(rng.next_double_in(0.05, 3.0),
+                     {{0, rng.next_double_in(0.1, 1.0)}, {2, rng.next_double_in(0.1, 1.0)}});
+        const LpSolution warm = solver.solve(p);
+        const LpSolution cold = solve_lp(p);
+        ASSERT_EQ(warm.status, LpStatus::Optimal);
+        EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * std::max(1.0, cold.objective));
+    }
+    EXPECT_GT(solver.tableau().col_capacity(), capacity);
+    EXPECT_GT(solver.stats().warm_solves, 0u);
+}
+
 TEST(SimplexWarm, RhsChainMatchesColdAndTakesWarmPath) {
     util::Rng rng(1234);
     LpProblem p = random_ge_problem(rng, 5, 7);

@@ -1,16 +1,48 @@
 #include "nmap/split.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
+#include "lp/certified_mcf.hpp"
 #include "nmap/initialize.hpp"
 #include "nmap/single_path.hpp"
 #include "noc/commodity.hpp"
+#include "portfolio/runner.hpp"
 
 namespace nocmap::nmap {
 namespace {
+
+/// Replays the exact polish of a split result on its final mapping, with
+/// every solve's certificate verified: MinSlack decides feasibility,
+/// MinFlow gives the reported cost bit for bit, and the loads come from
+/// MinFlow (MinMaxLoad under optimize_bandwidth).
+void expect_certified_polish(const graph::CoreGraph& g, const noc::Topology& topo,
+                             const SplitOptions& opt, const MappingResult& result) {
+    const auto d = noc::build_commodities(g, result.mapping);
+    lp::McfOptions mcf;
+    mcf.quadrant_restricted = opt.mode == SplitMode::MinPaths;
+    mcf.objective = lp::McfObjective::MinSlack;
+    const auto slack = lp::solve_certified(topo, d, mcf);
+    mcf.objective = lp::McfObjective::MinFlow;
+    const auto flow = lp::solve_certified(topo, d, mcf);
+    if (opt.optimize_bandwidth) {
+        mcf.objective = lp::McfObjective::MinMaxLoad;
+        EXPECT_EQ(lp::solve_certified(topo, d, mcf).loads, result.loads);
+        EXPECT_EQ(flow.feasible ? flow.objective : kMaxValue, result.comm_cost);
+        return;
+    }
+    EXPECT_EQ(slack.feasible, result.feasible);
+    if (!result.feasible) {
+        EXPECT_EQ(result.comm_cost, kMaxValue);
+        return;
+    }
+    EXPECT_EQ(flow.objective, result.comm_cost);
+    EXPECT_EQ(flow.loads, result.loads);
+}
 
 TEST(Split, FeasibleWhereSinglePathIsNot) {
     // One heavy flow larger than any single link: splitting is required.
@@ -29,6 +61,7 @@ TEST(Split, FeasibleWhereSinglePathIsNot) {
     EXPECT_TRUE(split.feasible);
     EXPECT_LT(split.comm_cost, kMaxValue);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, split.loads, 1e-4));
+    expect_certified_polish(g, topo, opt, split);
 }
 
 TEST(Split, FlowsConserveAndMatchLoads) {
@@ -37,6 +70,7 @@ TEST(Split, FlowsConserveAndMatchLoads) {
     SplitOptions opt;
     const auto result = map_with_splitting(g, topo, opt);
     ASSERT_TRUE(result.feasible);
+    expect_certified_polish(g, topo, opt, result);
     const auto d = noc::build_commodities(g, result.mapping);
     EXPECT_NEAR(lp::max_conservation_violation(topo, d, result.flows), 0.0, 1e-5);
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
@@ -52,6 +86,7 @@ TEST(Split, CostLowerBoundedByMappingCost) {
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
     const auto result = map_with_splitting(g, topo);
     ASSERT_TRUE(result.feasible);
+    expect_certified_polish(g, topo, {}, result);
     const auto d = noc::build_commodities(g, result.mapping);
     EXPECT_GE(result.comm_cost, noc::communication_cost(topo, d) - 1e-4);
     // With ample capacity, shortest paths are optimal: equality.
@@ -65,6 +100,7 @@ TEST(Split, MinPathsModeStaysInQuadrants) {
     opt.mode = SplitMode::MinPaths;
     const auto result = map_with_splitting(g, topo, opt);
     ASSERT_TRUE(result.feasible);
+    expect_certified_polish(g, topo, opt, result);
     const auto d = noc::build_commodities(g, result.mapping);
     for (std::size_t k = 0; k < d.size(); ++k)
         for (std::size_t l = 0; l < topo.link_count(); ++l) {
@@ -87,7 +123,7 @@ TEST(Split, SplitNeedsNoMoreBandwidthThanSinglePath) {
 
     lp::McfOptions mcf;
     mcf.objective = lp::McfObjective::MinMaxLoad;
-    const auto split = lp::solve_mcf(topo, d, mcf);
+    const auto split = lp::solve_certified(topo, d, mcf);
     ASSERT_TRUE(split.solved);
     EXPECT_LE(split.objective, noc::max_load(single.loads) + 1e-6);
 }
@@ -105,6 +141,7 @@ TEST(Split, ExactInnerLpOnTinyInstance) {
     const auto result = map_with_splitting(g, topo, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
+    expect_certified_polish(g, topo, opt, result);
 }
 
 TEST(Split, Deterministic) {
@@ -126,11 +163,13 @@ TEST(Split, BandwidthModeNeverWorseThanRemappingCostOptimal) {
     opt.optimize_bandwidth = true;
     const auto optimized = map_with_splitting(g, topo, opt);
     ASSERT_TRUE(optimized.feasible);
+    expect_certified_polish(g, topo, opt, optimized);
 
     const auto init = initial_mapping(g, topo);
     lp::McfOptions minmax;
     minmax.objective = lp::McfObjective::MinMaxLoad;
-    const auto rerouted = lp::solve_mcf(topo, noc::build_commodities(g, init), minmax);
+    const auto rerouted =
+        lp::solve_certified(topo, noc::build_commodities(g, init), minmax);
     EXPECT_LE(noc::max_load(optimized.loads), rerouted.objective + 1e-6);
 }
 
@@ -142,6 +181,7 @@ TEST(Split, BandwidthModeQuadrantFlowsStayMinimal) {
     opt.mode = SplitMode::MinPaths;
     const auto result = map_with_splitting(g, topo, opt);
     ASSERT_TRUE(result.feasible);
+    expect_certified_polish(g, topo, opt, result);
     const auto d = noc::build_commodities(g, result.mapping);
     for (std::size_t k = 0; k < d.size(); ++k)
         for (std::size_t l = 0; l < topo.link_count(); ++l) {
@@ -159,6 +199,7 @@ TEST(Split, BandwidthModeReportsMcf2Cost) {
     opt.optimize_bandwidth = true;
     const auto result = map_with_splitting(g, topo, opt);
     ASSERT_TRUE(result.feasible);
+    expect_certified_polish(g, topo, opt, result);
     // comm_cost is the MCF2 flow of the final mapping: bounded below by the
     // Eq.7 mapping cost.
     const auto d = noc::build_commodities(g, result.mapping);
@@ -197,6 +238,8 @@ TEST(Split, WarmStartMatchesColdVerdictAndCost) {
         const auto warm = map_with_splitting(g, topo, warm_opt);
         EXPECT_EQ(warm.feasible, cold.feasible);
         ASSERT_TRUE(warm.feasible);
+        expect_certified_polish(g, topo, cold_opt, cold);
+        expect_certified_polish(g, topo, warm_opt, warm);
         EXPECT_NEAR(warm.comm_cost, cold.comm_cost,
                     1e-6 * std::max(1.0, cold.comm_cost));
     }
@@ -216,6 +259,7 @@ TEST(Split, WarmStartExactOnConstrainedInstance) {
     const auto result = map_with_splitting(g, topo, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
+    expect_certified_polish(g, topo, opt, result);
 }
 
 TEST(Split, McfEngineOverridesLegacyKnob) {
@@ -249,6 +293,34 @@ TEST(Split, ReportsInfeasibleWhenTrulyImpossible) {
     const auto result = map_with_splitting(g, topo);
     EXPECT_FALSE(result.feasible);
     EXPECT_EQ(result.comm_cost, kMaxValue);
+    expect_certified_polish(g, topo, {}, result);
+}
+
+TEST(Split, DeadlineCutsThePolishShort) {
+    // A 100 ms budget on a 42-tile nmap-split: the sweep polls the deadline
+    // per row and the exact polish once per pricing round, so the typed
+    // error arrives within a second of the budget instead of after a full
+    // polish whose result is discarded.
+    portfolio::Scenario scenario;
+    scenario.app = "synth";
+    scenario.graph = std::make_shared<const graph::CoreGraph>(
+        apps::load_graph_or_application("synth:nodes=40,edges=72,seed=1"));
+    scenario.mapper = "nmap-split";
+    scenario.deadline_ms = 100;
+    portfolio::PortfolioRunner runner;
+    const auto start = std::chrono::steady_clock::now();
+    const auto results = runner.run({scenario});
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_EQ(results[0].error_code, "deadline-exceeded");
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__)
+    // The overshoot bound is a Release-build promise; sanitizer and debug
+    // builds run the same code several times slower.
+    EXPECT_LT(elapsed, std::chrono::milliseconds(100 + 1000));
+#else
+    (void)elapsed;
+#endif
 }
 
 } // namespace
