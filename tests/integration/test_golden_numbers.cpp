@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/registry.hpp"
 #include "baselines/gmap.hpp"
 #include "baselines/pmap.hpp"
@@ -25,6 +27,11 @@ struct GoldenCost {
     double gmap;
     double pmap;
 };
+
+// Print a case as its app name. The default printer dumps the param's bytes,
+// which hold the app string's address and so change from run to run; the
+// printed value is part of the test name ctest discovers.
+void PrintTo(const GoldenCost& golden, std::ostream* os) { *os << golden.app; }
 
 class GoldenCosts : public ::testing::TestWithParam<GoldenCost> {};
 
