@@ -11,6 +11,8 @@ run is read from --fresh-dir (default: build). Throughput metrics gate:
 
 Gated metrics per bench:
     ablation_mcf        rows keyed (workload, engine): warm_evals_per_sec
+                        for exact rows, cold_evals_per_sec for approx
+                        rows (the approx engine has no warm mode)
     shard_scaling       rows keyed workers: sweeps_per_sec; speedup_vs_1
                         additionally gated only when BOTH sides ran on
                         >= 4 cores (a 1-core host cannot scale workers)
@@ -81,9 +83,10 @@ def check_mcf(base, fresh):
         key = (row["workload"], row["engine"])
         label = f"{key[0]}/{key[1]}"
         baseline = base_rows.get(key)
-        report("ablation_mcf", f"{label} warm_evals_per_sec",
-               baseline and baseline.get("warm_evals_per_sec"),
-               row.get("warm_evals_per_sec"))
+        metric = ("cold_evals_per_sec" if row["engine"] == "approx"
+                  else "warm_evals_per_sec")
+        report("ablation_mcf", f"{label} {metric}",
+               baseline and baseline.get(metric), row.get(metric))
 
 
 def check_shard(base, fresh):

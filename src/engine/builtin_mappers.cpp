@@ -197,9 +197,9 @@ std::vector<ParamSpec> split_specs() {
                   "re-route already proves the bandwidth constraints hold"),
         sweeps_spec(),
         bool_spec("warm_start", false,
-                  "warm-start the inner MCF engines across consecutive swap "
-                  "candidates (exact: seed column generation with the previous "
-                  "optima's paths; approx: seed flows from the previous solution)"),
+                  "warm-start the exact inner MCF engine across consecutive swap "
+                  "candidates (seed column generation with the previous optima's "
+                  "paths); the approx engine ignores it"),
     };
 }
 

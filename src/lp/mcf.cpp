@@ -173,15 +173,13 @@ McfResult solve_mcf(const noc::EvalContext& ctx, const std::vector<noc::Commodit
                     const McfOptions& options) {
     const noc::Topology& topo = ctx.topology();
     if (commodities.empty()) return empty_instance_result(topo);
+    if (!options.use_exact_lp) return solve_mcf_approx(ctx, commodities, options);
     if (!options.quadrant_restricted)
-        return options.use_exact_lp ? solve_mcf_colgen(topo, commodities, options, nullptr)
-                                    : solve_mcf_approx(topo, commodities, options);
+        return solve_mcf_colgen(topo, commodities, options, nullptr);
     const auto allowed = allowed_per_commodity(commodities, [&](const noc::Commodity& c) {
         return allowed_links(ctx, c, true);
     });
-    return options.use_exact_lp
-               ? solve_mcf_colgen(topo, commodities, options, &allowed)
-               : solve_mcf_approx(topo, commodities, options, &allowed, nullptr);
+    return solve_mcf_colgen(topo, commodities, options, &allowed);
 }
 
 // ----------------------------------------------------------------- McfSolver
@@ -193,17 +191,7 @@ McfResult McfSolver::solve(const std::vector<noc::Commodity>& commodities) {
     ++stats_.solves;
     const noc::Topology& topo = ctx_.topology();
     if (commodities.empty()) return empty_instance_result(topo);
-    if (!options_.use_exact_lp) {
-        const auto ctx_allowed = [&](const noc::Commodity& c) {
-            return allowed_links(ctx_, c, options_.quadrant_restricted);
-        };
-        ApproxWarmState* warm = options_.warm_start ? &approx_warm_ : nullptr;
-        if (options_.quadrant_restricted) {
-            const auto allowed = allowed_per_commodity(commodities, ctx_allowed);
-            return solve_mcf_approx(topo, commodities, options_, &allowed, warm);
-        }
-        return solve_mcf_approx(topo, commodities, options_, nullptr, warm);
-    }
+    if (!options_.use_exact_lp) return solve_mcf_approx(ctx_, commodities, options_, &approx_);
     if (!options_.warm_start || options_.quadrant_restricted)
         return solve_mcf(ctx_, commodities, options_);
     McfResult result = solve_mcf_colgen(topo, commodities, options_, nullptr, &pool_);

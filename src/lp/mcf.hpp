@@ -17,8 +17,10 @@
 // Frank–Wolfe approximation (lp/mcf_approx) used inside NMAP's
 // pairwise-swap loop.
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/simplex.hpp"
@@ -45,13 +47,12 @@ struct McfOptions {
     /// Iterations for the approximate engine.
     std::size_t approx_iterations = 48;
     /// Reuse solver state across consecutive solves of perturbed instances.
-    /// Only meaningful through an McfSolver (or an ApproxWarmState handle):
-    /// the exact engine then seeds column generation with the previous
-    /// optima's paths (ColumnPool), and the Frank–Wolfe engine seeds its
-    /// initial flow from the previous candidate's solution. Off by default — the warm paths
-    /// converge to the same objectives but may pick different cost-equal
-    /// optima, so the default results stay bit-identical to the one-shot
-    /// engines.
+    /// Exact engine only, and only through an McfSolver: column generation
+    /// is then seeded with the previous optima's paths (ColumnPool). Off by
+    /// default — the warm solves converge to the same objectives but may
+    /// pick different cost-equal optima, so the default results stay
+    /// bit-identical to the one-shot engine. The Frank–Wolfe engine ignores
+    /// it.
     bool warm_start = false;
     SimplexOptions simplex{};
     /// Cooperative cancellation of the exact engine, polled once per
@@ -81,6 +82,10 @@ struct McfResult {
     noc::LinkLoads loads;                   ///< aggregate per-link traffic
     std::vector<std::vector<double>> flows; ///< [commodity][link] traffic
     LpStatus status = LpStatus::IterationLimit;
+    /// Frank–Wolfe engine: shortest-path searches run (one per commodity for
+    /// the initial assignment, plus one per commodity for every iteration
+    /// whose link costs changed). 0 from the exact engine.
+    std::size_t path_searches = 0;
     /// Filled by the exact engine (and for the empty instance); absent from
     /// Frank–Wolfe answers.
     McfCertificate certificate;
@@ -105,16 +110,48 @@ std::vector<noc::LinkId> allowed_links(const noc::Topology& topo, const noc::Com
 std::vector<noc::LinkId> allowed_links(const noc::EvalContext& ctx, const noc::Commodity& c,
                                        bool quadrant_restricted);
 
-/// Warm-start scratch of the Frank–Wolfe engine, carried by the caller
-/// across consecutive solves (see McfOptions::warm_start). Holds the
-/// previous converged per-commodity flows (seeds for commodities whose
-/// endpoints did not move) and the shared all-paths routing graph.
-struct ApproxWarmState {
-    bool valid = false;
-    std::vector<noc::Commodity> prev;       ///< commodity set of the previous solve
-    std::vector<std::vector<double>> flows; ///< its converged [commodity][link] flows
-    /// Cached all-paths routing adjacency: out[tile] = (link, next tile).
-    std::vector<std::vector<std::pair<noc::LinkId, noc::TileId>>> all_paths_out;
+/// Scratch of the Frank–Wolfe engine (lp/mcf_approx), reusable across
+/// solves (McfSolver carries one). What outlives a solve is the routing
+/// graph, the quadrant masks and each commodity slot's latest path with
+/// the link costs it was computed under. Dijkstra is a pure function of
+/// (graph, mask, costs, source, destination), the graph depends only on the
+/// fabric's links and a mask only on its commodity's endpoints, so a result
+/// never depends on what earlier solves left here; a solve on a fabric
+/// with other links drops it all.
+struct ApproxWorkspace {
+    /// Per commodity k.
+    struct Slot {
+        /// Quadrant mode: 1 for the tiles of the quadrant of
+        /// (mask_src, mask_dst), the tiles its flow may visit.
+        std::vector<char> mask;
+        noc::TileId mask_src = noc::kInvalidTile;
+        noc::TileId mask_dst = noc::kInvalidTile;
+        /// Latest cheapest path, computed under path_cost from path_src to
+        /// path_dst (kInvalidTile: none).
+        std::vector<noc::LinkId> path;
+        noc::TileId path_src = noc::kInvalidTile;
+        noc::TileId path_dst = noc::kInvalidTile;
+        /// Flow support: the links this solve's flow has used, each once.
+        std::vector<noc::LinkId> support;
+    };
+    /// (src, dst) of every link of the fabric; tile u's out-arcs
+    /// (link, next tile) are arcs[first[u] .. first[u + 1]), in link order.
+    std::vector<std::pair<noc::TileId, noc::TileId>> link_ends;
+    std::vector<std::uint32_t> first;
+    std::vector<std::pair<noc::LinkId, noc::TileId>> arcs;
+    std::vector<Slot> slots;
+    bool quadrant_paths = false; ///< routing mode the slots' paths were computed in
+    /// Link costs the slots' paths were computed under, and this
+    /// iteration's.
+    std::vector<double> path_cost;
+    std::vector<double> cost;
+    /// Per link: stamp of the latest commodity whose support listed it.
+    std::vector<std::size_t> mark;
+    /// Dijkstra buffers.
+    std::vector<double> dist;
+    std::vector<noc::LinkId> via;
+    std::vector<noc::TileId> prev;
+    std::vector<std::pair<double, noc::TileId>> heap;
 };
 
 /// Column pool of the exact engine, carried across solves by McfSolver's
@@ -138,18 +175,19 @@ struct ColumnPool {
 /// sweeps of the split mappers solve the same program over and over with
 /// only the commodity tile endpoints moving. The solver keeps:
 ///
-///   * exact engine, all-paths mode: a ColumnPool. A swap moves only the
+///   * exact engine, all-paths mode, warm_start: a ColumnPool. A swap moves only the
 ///     commodities touching the two tiles; every other commodity starts
 ///     its column generation from the paths of the previous optimum
 ///     instead of a fresh min-hop seed, so congested candidates need fewer
 ///     pricing rounds;
-///   * approximate engine: an ApproxWarmState (flow seeding + shared
-///     routing graph);
+///   * approximate engine: an ApproxWorkspace (routing graphs, the
+///     unmoved commodities' min-hop paths and scratch buffers; results
+///     stay bit-identical to one-shot solves, with or without warm_start);
 ///   * exact engine, quadrant mode: no state; every candidate is solved
 ///     cold (the documented fallback).
 ///
 /// The caller must keep the EvalContext alive for the solver's lifetime.
-/// With warm_start=false the solver simply forwards to solve_mcf().
+/// Without warm_start the exact engine simply forwards to solve_mcf().
 class McfSolver {
 public:
     McfSolver(const noc::EvalContext& ctx, McfOptions options);
@@ -166,7 +204,7 @@ public:
 private:
     const noc::EvalContext& ctx_;
     McfOptions options_;
-    ApproxWarmState approx_warm_;
+    ApproxWorkspace approx_;
     ColumnPool pool_;
     Stats stats_;
 };

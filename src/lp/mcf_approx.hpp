@@ -15,6 +15,15 @@
 //
 // Flow conservation holds *exactly* at every iterate (each all-or-nothing
 // assignment is a valid path flow, and convex combinations preserve Eq. 5).
+//
+// The kernel does the dense iteration's arithmetic with less work, bit for
+// bit. Dijkstra is a pure function of (graph, link costs, endpoints), so a
+// commodity's latest path is reused whenever the costs equal (bitwise)
+// those it was computed under — under MinFlow with no overloaded link that
+// is every iteration, and across the solves of a carried workspace it
+// spares every commodity a swap did not move. The blend and the load
+// rebuild touch only each commodity's flow support, the links its flow has
+// used; the flow is 0 everywhere else.
 
 #include "lp/mcf.hpp"
 
@@ -25,20 +34,15 @@ McfResult solve_mcf_approx(const noc::Topology& topo,
                            const std::vector<noc::Commodity>& commodities,
                            const McfOptions& options);
 
-/// Full-control variant. `allowed` (consulted in quadrant mode only) is a
-/// precomputed per-commodity allowed-link list — pass nullptr to compute it
-/// from the topology. `warm` carries state across consecutive solves: with
-/// options.warm_start set, commodities whose endpoints did not move since
-/// the previous solve start from their converged flows (with a matching
-/// later step-size schedule) and the iteration loop exits early once the
-/// objective stops improving; the converged objective matches a cold run
-/// within the engine's own convergence tolerance. Without warm_start the
-/// cold iteration sequence is untouched (bit-identical results); the warm
-/// state still caches the shared all-paths routing graph.
-McfResult solve_mcf_approx(const noc::Topology& topo,
+/// Context-threaded variant: quadrant membership comes from the context's
+/// distance table (bit-identical results, as for solve_mcf). `workspace`
+/// (may be nullptr) is scratch carried across solves on the context's
+/// topology; it saves allocations and routing-graph builds and never
+/// changes a result. There is no warm start: every solve runs the full
+/// iteration schedule from min-hop paths, whatever McfOptions::warm_start
+/// says.
+McfResult solve_mcf_approx(const noc::EvalContext& ctx,
                            const std::vector<noc::Commodity>& commodities,
-                           const McfOptions& options,
-                           const std::vector<std::vector<noc::LinkId>>* allowed,
-                           ApproxWarmState* warm);
+                           const McfOptions& options, ApproxWorkspace* workspace = nullptr);
 
 } // namespace nocmap::lp

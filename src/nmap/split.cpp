@@ -50,26 +50,6 @@ std::vector<noc::Commodity> graph_commodities(const graph::CoreGraph& graph) {
     return commodities;
 }
 
-/// One inner MCF engine slot: a persistent warm McfSolver when the options
-/// ask for warm starts, the one-shot context solve otherwise.
-class InnerMcf {
-public:
-    InnerMcf(const noc::EvalContext& ctx, lp::McfOptions options)
-        : ctx_(ctx), options_(std::move(options)) {
-        if (options_.warm_start) solver_.emplace(ctx_, options_);
-    }
-
-    lp::McfResult solve(const std::vector<noc::Commodity>& commodities) {
-        if (solver_) return solver_->solve(commodities);
-        return lp::solve_mcf(ctx_, commodities, options_);
-    }
-
-private:
-    const noc::EvalContext& ctx_;
-    lp::McfOptions options_;
-    std::optional<lp::McfSolver> solver_;
-};
-
 /// Two-phase MCF sweep policy (the body of mappingwithsplitting()):
 /// phase 1 minimizes the MCF1 slack until some candidate satisfies the
 /// bandwidth constraints, phase 2 minimizes the MCF2 total flow. Encoded in
@@ -164,8 +144,8 @@ private:
 
     const graph::CoreGraph& graph_;
     const noc::EvalContext& ctx_;
-    InnerMcf slack_;
-    InnerMcf flow_;
+    lp::McfSolver slack_;
+    lp::McfSolver flow_;
     const bool routing_prefilter_;
     std::vector<noc::Commodity> commodities_;
     std::optional<engine::IncrementalRouter> router_;
@@ -196,7 +176,7 @@ public:
 
 private:
     const noc::EvalContext& ctx_;
-    InnerMcf minmax_;
+    lp::McfSolver minmax_;
     std::vector<noc::Commodity> commodities_;
 };
 

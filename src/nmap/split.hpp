@@ -39,12 +39,12 @@ struct SplitOptions {
     bool exact_inner_lp = false;
     /// Overrides exact_inner_lp when not Auto.
     McfEngine mcf_engine = McfEngine::Auto;
-    /// Warm-start the inner engines across consecutive swap candidates: the
-    /// exact engine seeds column generation with the paths of the previous
-    /// optima, the Frank–Wolfe engine seeds flows from the previous
-    /// candidate's solution (see lp::McfSolver). Objectives and feasibility
-    /// verdicts match the cold engines; tie-breaking among cost-equal
-    /// optimal *flows* may differ, hence default off for bit-stable output.
+    /// Warm-start the exact inner engine across consecutive swap
+    /// candidates: column generation is seeded with the paths of the
+    /// previous optima (see lp::McfSolver). Objectives and feasibility
+    /// verdicts match the cold engine; tie-breaking among cost-equal optimal
+    /// *flows* may differ, hence default off for bit-stable output. The
+    /// Frank–Wolfe inner engine has no warm start and ignores this knob.
     bool warm_start = false;
     /// Iterations for the approximate inner engine.
     std::size_t approx_iterations = 32;

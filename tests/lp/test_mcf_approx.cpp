@@ -140,5 +140,67 @@ TEST(McfApprox, SlackModeDetectsFeasibility) {
     EXPECT_GT(bad.objective, 10.0);
 }
 
+// The path-reuse guard: a search runs only when the link costs moved.
+
+TEST(McfApprox, AmpleMinFlowSearchesOncePerCommodity) {
+    // No link ever overloads, so every MinFlow cost stays exactly 1.0, the
+    // unit cost of the initial assignment: no iteration searches again.
+    const auto topo = noc::Topology::mesh(4, 4, 1e6);
+    util::Rng rng(11);
+    const auto d = random_commodities(topo, 9, rng);
+    for (const bool quadrant : {false, true}) {
+        McfOptions opt;
+        opt.use_exact_lp = false;
+        opt.objective = McfObjective::MinFlow;
+        opt.quadrant_restricted = quadrant;
+        const auto r = solve_mcf(topo, d, opt);
+        EXPECT_TRUE(r.feasible);
+        EXPECT_EQ(r.path_searches, d.size()) << (quadrant ? "quadrant" : "all-paths");
+    }
+}
+
+TEST(McfApprox, OverloadedMinFlowSearchesAgain) {
+    // 150 over a 120-capacity cut: the overload penalty moves the costs.
+    const auto topo = noc::Topology::mesh(2, 2, 60.0);
+    const std::vector<noc::Commodity> d = {
+        make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 150.0)};
+    McfOptions opt;
+    opt.use_exact_lp = false;
+    opt.objective = McfObjective::MinFlow;
+    const auto r = solve_mcf(topo, d, opt);
+    EXPECT_FALSE(r.feasible);
+    EXPECT_GT(r.path_searches, d.size());
+}
+
+TEST(McfApprox, CarriedWorkspaceSearchesOnlyMovedCommodities) {
+    // Ample MinFlow ends every solve on unit costs, so an McfSolver's next
+    // solve keeps each unmoved commodity's min-hop path.
+    const auto topo = noc::Topology::mesh(4, 4, 1e6);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    util::Rng rng(23);
+    auto d = random_commodities(topo, 7, rng);
+    for (const bool quadrant : {false, true}) {
+        McfOptions opt;
+        opt.use_exact_lp = false;
+        opt.objective = McfObjective::MinFlow;
+        opt.quadrant_restricted = quadrant;
+        McfSolver solver(ctx, opt);
+        EXPECT_EQ(solver.solve(d).path_searches, d.size());
+        EXPECT_EQ(solver.solve(d).path_searches, 0u);
+        auto moved = d;
+        moved[3].dst_tile = moved[3].src_tile == 0 ? 15 : 0;
+        const auto r = solver.solve(moved);
+        EXPECT_EQ(r.path_searches, 1u);
+        EXPECT_EQ(r.flows, solve_mcf(ctx, moved, opt).flows);
+    }
+}
+
+TEST(McfApprox, ExactEngineRunsNoApproxSearches) {
+    const auto topo = noc::Topology::mesh(3, 3, 1e6);
+    util::Rng rng(5);
+    const auto r = solve_certified(topo, random_commodities(topo, 4, rng), McfOptions{});
+    EXPECT_EQ(r.path_searches, 0u);
+}
+
 } // namespace
 } // namespace nocmap::lp

@@ -16,7 +16,7 @@
 #include "dense_mcf_oracle.hpp"
 #include "nmap/split.hpp"
 #include "noc/commodity.hpp"
-#include "util/rng.hpp"
+#include "random_mcf_instances.hpp"
 
 namespace nocmap::lp {
 namespace {
@@ -46,46 +46,6 @@ void expect_matches_oracle(const noc::Topology& topo,
     }
 }
 
-enum class Capacity { Ample, Moderate, Tight, Overloaded };
-
-struct Fabric {
-    const char* name;
-    noc::Topology (*make)(double capacity);
-};
-
-const Fabric kFabrics[] = {
-    {"mesh4x4", [](double c) { return noc::Topology::mesh(4, 4, c); }},
-    {"torus4x4", [](double c) { return noc::Topology::torus(4, 4, c); }},
-    {"ring8", [](double c) { return noc::Topology::ring(8, c); }},
-    {"hypercube4", [](double c) { return noc::Topology::hypercube(4, c); }},
-};
-
-/// Random commodities; about a third reuse an earlier commodity's source,
-/// destination or both, so several commodities share endpoints.
-std::vector<noc::Commodity> random_commodities(std::size_t tiles, std::size_t count,
-                                               util::Rng& rng) {
-    std::vector<noc::Commodity> commodities;
-    for (std::size_t k = 0; k < count; ++k) {
-        noc::Commodity c;
-        c.id = static_cast<std::int32_t>(k);
-        c.src_core = c.id;
-        c.dst_core = c.id + 100;
-        c.value = 10.0 + static_cast<double>(rng.next_below(91));
-        c.src_tile = static_cast<noc::TileId>(rng.next_below(tiles));
-        c.dst_tile = static_cast<noc::TileId>(rng.next_below(tiles));
-        if (k > 0 && rng.next_below(3) == 0) {
-            const noc::Commodity& earlier = commodities[rng.next_below(k)];
-            const auto share = rng.next_below(3);
-            if (share != 1) c.src_tile = earlier.src_tile;
-            if (share != 0) c.dst_tile = earlier.dst_tile;
-        }
-        while (c.dst_tile == c.src_tile)
-            c.dst_tile = static_cast<noc::TileId>(rng.next_below(tiles));
-        commodities.push_back(c);
-    }
-    return commodities;
-}
-
 class McfOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(McfOracle, ColumnGenerationMatchesDenseArcForm) {
@@ -95,25 +55,7 @@ TEST_P(McfOracle, ColumnGenerationMatchesDenseArcForm) {
     for (const Fabric& fabric : kFabrics) {
         const std::size_t tiles = fabric.make(1.0).tile_count();
         auto commodities = random_commodities(tiles, 3 + rng.next_below(8), rng);
-        double total = 0.0;
-        double largest = 0.0;
-        for (const auto& c : commodities) {
-            total += c.value;
-            largest = std::max(largest, c.value);
-        }
-        double capacity = 1e5;
-        switch (regime) {
-        case Capacity::Ample: break;
-        case Capacity::Moderate: capacity = total / 3.0; break;
-        case Capacity::Tight: capacity = largest * 0.6; break;
-        case Capacity::Overloaded:
-            // No fabric here has more than 4 links out of a tile, so the
-            // first commodity cannot leave its source: MinFlow infeasible.
-            capacity = largest * 0.6;
-            commodities.front().value = 5.0 * capacity;
-            break;
-        }
-        const noc::Topology topo = fabric.make(capacity);
+        const noc::Topology topo = fabric.make(regime_capacity(regime, commodities));
         const std::string label = std::string(fabric.name) + " seed " + std::to_string(seed);
         for (const bool quadrant : {false, true})
             for (const McfObjective objective :

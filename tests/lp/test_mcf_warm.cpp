@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "certified_mcf.hpp"
-#include "lp/mcf_approx.hpp"
 #include "util/rng.hpp"
 
 namespace nocmap::lp {
@@ -64,14 +63,10 @@ void expect_agrees_with_cold(const noc::EvalContext& ctx,
                              double rel_tol) {
     McfOptions cold_options = options;
     cold_options.warm_start = false;
-    if (options.use_exact_lp) {
-        const CertificateVerdict verdict =
-            verify_mcf_certificate(ctx.topology(), commodities, options, warm);
-        EXPECT_TRUE(verdict.ok) << "warm: " << verdict.reason;
-    }
-    const McfResult cold = options.use_exact_lp
-                               ? solve_certified(ctx, commodities, cold_options)
-                               : solve_mcf(ctx, commodities, cold_options);
+    const CertificateVerdict verdict =
+        verify_mcf_certificate(ctx.topology(), commodities, options, warm);
+    EXPECT_TRUE(verdict.ok) << "warm: " << verdict.reason;
+    const McfResult cold = solve_certified(ctx, commodities, cold_options);
     EXPECT_EQ(warm.solved, cold.solved);
     EXPECT_EQ(warm.feasible, cold.feasible);
     if (cold.solved) {
@@ -150,48 +145,6 @@ TEST(McfWarm, QuadrantModeFallsBackToColdBitIdentically) {
         EXPECT_EQ(warm.flows, cold.flows);
     }
     EXPECT_EQ(solver.stats().pool_seeded, 0u);
-}
-
-TEST(McfWarm, ApproxWarmChainAgreesWithCold) {
-    const auto topo = noc::Topology::mesh(4, 4, 100.0);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    McfOptions opt;
-    opt.objective = McfObjective::MinFlow;
-    opt.use_exact_lp = false;
-    opt.warm_start = true;
-    McfSolver solver(ctx, opt);
-    util::Rng rng(9);
-    SwapChain chain(topo, 6, rng);
-    for (int s = 0; s < 8; ++s) {
-        const auto& commodities = s == 0 ? chain.commodities() : chain.step();
-        // The warm Frank–Wolfe engine may stop early once converged; allow a
-        // few percent on the objective but demand the same verdicts.
-        expect_agrees_with_cold(ctx, commodities, opt, solver.solve(commodities), 0.05);
-    }
-}
-
-TEST(McfWarm, ApproxWarmPointerWithoutWarmStartIsBitIdentical) {
-    // Supplying a warm-state handle only caches the shared routing graph;
-    // with warm_start=false the iterate sequence must not change at all.
-    const auto topo = noc::Topology::mesh(4, 4, 30.0);
-    util::Rng rng(17);
-    SwapChain chain(topo, 5, rng);
-    McfOptions opt;
-    opt.objective = McfObjective::MinFlow;
-    opt.use_exact_lp = false;
-    opt.warm_start = false;
-    ApproxWarmState warm;
-    for (int s = 0; s < 4; ++s) {
-        const auto& commodities = s == 0 ? chain.commodities() : chain.step();
-        const McfResult with_state = solve_mcf_approx(topo, commodities, opt, nullptr, &warm);
-        const McfResult plain = solve_mcf_approx(topo, commodities, opt);
-        EXPECT_EQ(with_state.objective, plain.objective);
-        EXPECT_EQ(with_state.feasible, plain.feasible);
-        EXPECT_EQ(with_state.flows, plain.flows);
-        EXPECT_EQ(with_state.loads, plain.loads);
-    }
-    // And the handle never armed itself.
-    EXPECT_FALSE(warm.valid);
 }
 
 TEST(McfWarm, EmptyCommoditySetTriviallyFeasible) {
