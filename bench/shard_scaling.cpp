@@ -1,7 +1,7 @@
-// Distributed sweep sharding: sweeps/sec of the rows-mode shard
-// coordinator at 1/2/4 workers on a >= 64-tile random graph (naive eval, so
-// candidate scoring — the scattered work — dominates the protocol
-// round-trips).
+// Distributed portfolio sharding: grids/sec of the shard coordinator at
+// 1/2/4 workers on a grid of eight random 128-core apps (seeds 1-8) on mesh,
+// mapped by nmap with its default eval. One grid is eight independent
+// mapping runs, the unit the coordinator scatters.
 //
 // Workers are in-process service::Service instances behind WorkerLink: the
 // coordinator's fan-out threads drive them concurrently, so the scaling
@@ -11,12 +11,10 @@
 // Correctness is asserted on every run, at every worker count: the merged
 // report must be byte-identical to a single-node PortfolioRunner run of the
 // same grid (the shard determinism contract). `--smoke` additionally gates
-// >= 1.5x sweeps/sec at 4 workers vs 1 — only when the host has >= 4
+// >= 1.5x grids/sec at 4 workers vs 1 — only when the host has >= 4
 // hardware threads (a 1-core CI box cannot scale; parity still must hold) —
 // and exits non-zero on any violation. Results land in shard_scaling.csv
 // and the BENCH_shard.json trajectory file.
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
@@ -45,25 +43,22 @@ namespace {
 
 using namespace nocmap;
 
-std::shared_ptr<const graph::CoreGraph> random_app(std::size_t cores) {
-    graph::RandomGraphConfig config;
-    config.core_count = cores;
-    config.average_out_degree = 2.5;
-    config.seed = 7;
-    return std::make_shared<const graph::CoreGraph>(graph::generate_random_core_graph(config));
-}
+constexpr std::size_t kCores = 128; ///< cores per app
+constexpr std::uint64_t kApps = 8;  ///< random apps per grid, seeds 1..kApps
 
-std::vector<portfolio::Scenario> sweep_grid(
-    const std::shared_ptr<const graph::CoreGraph>& app, std::size_t cores) {
-    engine::Params params;
-    // Naive eval re-routes every candidate: compute-bound rows, the
-    // workload rows-mode sharding exists for.
-    params.set("eval", engine::ParamValue::of_string("naive"));
-    params.set("sweeps", engine::ParamValue::of_int(1));
+std::vector<portfolio::Scenario> scenario_grid() {
     std::vector<std::pair<std::string, std::shared_ptr<const graph::CoreGraph>>> apps;
-    apps.emplace_back("random" + std::to_string(cores), app);
+    for (std::uint64_t seed = 1; seed <= kApps; ++seed) {
+        graph::RandomGraphConfig config;
+        config.core_count = kCores;
+        config.average_out_degree = 2.5;
+        config.seed = seed;
+        apps.emplace_back(
+            "random" + std::to_string(kCores) + "-s" + std::to_string(seed),
+            std::make_shared<const graph::CoreGraph>(graph::generate_random_core_graph(config)));
+    }
     return portfolio::make_grid(apps, portfolio::parse_topology_list("mesh", 1e9), "nmap",
-                                params, 0);
+                                {}, 0);
 }
 
 std::string stable_json(const std::vector<portfolio::ScenarioResult>& results) {
@@ -82,27 +77,25 @@ std::vector<std::unique_ptr<shard::WorkerLink>> in_process_links(std::size_t cou
 struct ScaleRow {
     std::size_t workers = 0;
     double wall_ms = std::numeric_limits<double>::infinity();
-    double sweeps_per_sec = 0.0;
+    double grids_per_sec = 0.0;
     double speedup = 1.0; ///< vs the 1-worker row
     bool parity = true;
 };
 
-/// Best-of-repeats wall time of one sharded sweep at `workers`, with the
+/// Best-of-repeats wall time of one sharded grid at `workers`, with the
 /// byte-parity check against `expected` applied to every repeat.
 ScaleRow measure(const std::vector<portfolio::Scenario>& grid, std::size_t workers,
                  std::size_t repeats, const std::string& expected) {
     ScaleRow row;
     row.workers = workers;
     for (std::size_t r = 0; r < repeats; ++r) {
-        shard::ShardOptions options;
-        options.mode = shard::ShardMode::Rows;
-        shard::Coordinator coordinator(in_process_links(workers), options);
+        shard::Coordinator coordinator(in_process_links(workers), shard::ShardOptions{});
         const auto start = std::chrono::steady_clock::now();
         const auto results = coordinator.run_grid(grid);
         row.wall_ms = std::min(row.wall_ms, bench::ms_since(start));
         if (stable_json(results) != expected) row.parity = false;
     }
-    row.sweeps_per_sec = 1000.0 / row.wall_ms; // the grid runs exactly one sweep
+    row.grids_per_sec = 1000.0 / row.wall_ms;
     return row;
 }
 
@@ -141,7 +134,7 @@ void write_trajectory(const std::vector<ScaleRow>& rows, std::size_t tiles,
         return;
     }
     out << "{\n  \"bench\": \"shard_scaling\",\n"
-        << "  \"metric\": \"rows-mode sharded sweeps per second vs worker count\",\n"
+        << "  \"metric\": \"sharded grids (8 mapping runs each) per second vs worker count\",\n"
         << "  \"host_cores\": " << host_cores << ",\n  \"tiles\": " << tiles
         << ",\n  \"gate\": {\"floor_speedup_at_4\": 1.5, \"enforced\": "
         << (gate_enforced ? "true" : "false") << ", \"skip_reason\": \""
@@ -150,7 +143,7 @@ void write_trajectory(const std::vector<ScaleRow>& rows, std::size_t tiles,
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ScaleRow& r = rows[i];
         out << "    {\"workers\": " << r.workers << ", \"wall_ms\": " << r.wall_ms
-            << ", \"sweeps_per_sec\": " << r.sweeps_per_sec
+            << ", \"grids_per_sec\": " << r.grids_per_sec
             << ", \"speedup_vs_1\": " << r.speedup
             << ", \"byte_parity\": " << (r.parity ? "true" : "false") << "}"
             << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -159,35 +152,34 @@ void write_trajectory(const std::vector<ScaleRow>& rows, std::size_t tiles,
 }
 
 int run_report(bool smoke) {
-    const std::size_t cores = 64; // >= 64 tiles: the smoke gate's floor
-    const auto app = random_app(cores);
-    const auto grid = sweep_grid(app, cores);
+    const auto grid = scenario_grid();
     const std::size_t repeats = smoke ? 2 : 3;
     const std::size_t host_cores =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
     // The reference bytes every sharded run must reproduce.
     portfolio::PortfolioRunner runner{portfolio::PortfolioOptions{}};
-    const std::string expected = stable_json(runner.run(grid));
-    const std::size_t tiles = 64;
+    const auto reference = runner.run(grid);
+    const std::string expected = stable_json(reference);
+    const std::size_t tiles = reference.front().tiles;
 
     std::vector<ScaleRow> rows;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}})
         rows.push_back(measure(grid, workers, repeats, expected));
     for (ScaleRow& row : rows) row.speedup = rows.front().wall_ms / row.wall_ms;
 
-    util::Table table("Sharded swap-sweep scaling — random" + std::to_string(cores) +
-                      " on mesh (" + std::to_string(tiles) +
-                      " tiles, naive eval), rows mode");
-    table.set_header({"workers", "wall (ms)", "sweeps/s", "speedup vs 1", "byte parity"});
+    util::Table table("Sharded portfolio scaling — " + std::to_string(kApps) + " random" +
+                      std::to_string(kCores) + " apps on mesh (" + std::to_string(tiles) +
+                      " tiles, nmap default eval)");
+    table.set_header({"workers", "wall (ms)", "grids/s", "speedup vs 1", "byte parity"});
     for (const ScaleRow& row : rows)
         table.add_row({util::Table::num(static_cast<long long>(row.workers)),
                        util::Table::num(row.wall_ms, 2),
-                       util::Table::num(row.sweeps_per_sec, 3),
+                       util::Table::num(row.grids_per_sec, 3),
                        util::Table::num(row.speedup, 2), row.parity ? "yes" : "NO"});
     table.print(std::cout);
     std::cout << "(acceptance: every worker count byte-identical to single-node; smoke "
-                 "gate: >= 1.5x sweeps/sec at 4 workers on hosts with >= 4 threads; "
+                 "gate: >= 1.5x grids/sec at 4 workers on hosts with >= 4 threads; "
                  "this host: "
               << host_cores << ")\n";
 
@@ -220,23 +212,13 @@ int run_report(bool smoke) {
     std::vector<std::vector<std::string>> csv;
     for (const ScaleRow& row : rows)
         csv.push_back({std::to_string(row.workers), util::Table::num(row.wall_ms, 3),
-                       util::Table::num(row.sweeps_per_sec, 4),
+                       util::Table::num(row.grids_per_sec, 4),
                        util::Table::num(row.speedup, 3), row.parity ? "1" : "0"});
     bench::try_write_csv("shard_scaling.csv",
-                         {"workers", "wall_ms", "sweeps_per_sec", "speedup", "parity"},
+                         {"workers", "wall_ms", "grids_per_sec", "speedup", "parity"},
                          csv);
     write_trajectory(rows, tiles, host_cores, gate_enforced, skip_reason);
     return ok ? 0 : 1;
-}
-
-void bm_sharded_sweep(benchmark::State& state) {
-    const std::size_t workers = static_cast<std::size_t>(state.range(0));
-    const auto app = random_app(64);
-    const auto grid = sweep_grid(app, 64);
-    shard::ShardOptions options;
-    options.mode = shard::ShardMode::Rows;
-    shard::Coordinator coordinator(in_process_links(workers), options);
-    for (auto _ : state) benchmark::DoNotOptimize(coordinator.run_grid(grid));
 }
 
 } // namespace
@@ -245,15 +227,5 @@ int main(int argc, char** argv) {
     bool smoke = false;
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (smoke) return run_report(true);
-
-    const int status = run_report(false);
-    benchmark::RegisterBenchmark("shard64/rows", bm_sharded_sweep)
-        ->Arg(1)
-        ->Arg(2)
-        ->Arg(4)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return status;
+    return run_report(smoke);
 }

@@ -20,12 +20,12 @@
 //                     [--opt key=value]... [--seed N]
 //                     [--fault-stall-ms N [--fault-every N]]
 //   nocmap_cli shard  <app|graph-file>... (--workers host:port,... |
-//                     --spawn-workers N) [--shard-mode rows|scenarios]
+//                     --spawn-workers N)
 //                     [--connect-timeout-ms N] [--io-timeout-ms N]
 //                     [--deadline-ms N] [--faults spec]
 //                     [--topologies specs] [--algo <name>] [--bw MBps]
 //                     [--opt key=value]... [--eval-opt key=value]...
-//                     [--seed N] [--json path]
+//                     [--seed N] [--json path] [--print-metrics]
 //   nocmap_cli apps
 //   nocmap_cli algos            (also: --list-algos anywhere)
 //   nocmap_cli --list-apps [--json]
@@ -82,10 +82,9 @@
 // Shard mode distributes a portfolio run over serve workers — either
 // already-running daemons (--workers host:port,...) or a fleet of local
 // subprocesses forked for the run (--spawn-workers N, which splits this
-// host's --threads budget over the children). --shard-mode picks the
-// granularity: "rows" scatters each swap sweep's candidate rows,
-// "scenarios" scatters whole scenarios weighted by advertised cores. Either
-// way the merged report is byte-identical to a single-node
+// host's --threads budget over the children). Whole scenarios are
+// scattered, weighted by the cores each worker advertises, and the merged
+// report is byte-identical to a single-node
 // `portfolio --json --json-stable` run; see src/shard/coordinator.hpp.
 // --connect-timeout-ms/--io-timeout-ms bound each worker link's syscalls
 // (a silent worker becomes a transport failure the coordinator retries
@@ -159,7 +158,6 @@ struct CliOptions {
     std::size_t max_connections = 64; ///< serve: concurrent TCP sessions (0 = unbounded)
     std::string workers;              ///< shard: host:port,... of running daemons
     std::size_t spawn_workers = 0;    ///< shard: fork N local serve workers
-    std::string shard_mode = "rows";  ///< shard: rows | scenarios
     std::size_t max_pending = 256;    ///< serve: in-flight map admission cap
     std::uint64_t idle_timeout_ms = 0; ///< serve: silent-session eviction
     std::uint64_t deadline_ms = 0;     ///< per-scenario wall-clock budget
@@ -209,7 +207,7 @@ int usage() {
                  "[--fault-stall-ms N [--fault-every N]]\n"
                  "       nocmap_cli shard <app|graph-file>... "
                  "(--workers host:port,... | --spawn-workers N) "
-                 "[--shard-mode rows|scenarios] [--connect-timeout-ms N] "
+                 "[--connect-timeout-ms N] "
                  "[--io-timeout-ms N] [--deadline-ms N] "
                  "[--faults worker:index:action[:ms],...] [--topologies specs] "
                  "[--algo name] [--opt key=value]... [--eval-opt key=value]... "
@@ -533,15 +531,6 @@ int cmd_shard(const CliOptions& opt) {
         return 2;
     }
     shard::ShardOptions options;
-    if (opt.shard_mode == "rows") {
-        options.mode = shard::ShardMode::Rows;
-    } else if (opt.shard_mode == "scenarios") {
-        options.mode = shard::ShardMode::Scenarios;
-    } else {
-        std::cerr << "error: --shard-mode must be rows or scenarios\n";
-        return 2;
-    }
-    options.cache_topologies = opt.cache_topologies;
     obs::Registry metrics; // outlives the coordinator that feeds it
     if (opt.print_metrics) options.metrics = &metrics;
 
@@ -621,8 +610,7 @@ int cmd_shard(const CliOptions& opt) {
 
     portfolio::print_report(std::cout, results, fabric_ranking);
     std::cout << "shard: " << coordinator.alive_count() << " of "
-              << coordinator.worker_count() << " workers alive, mode " << opt.shard_mode
-              << '\n';
+              << coordinator.worker_count() << " workers alive\n";
     if (!opt.json_path.empty()) {
         std::ofstream out(opt.json_path);
         if (!out) {
@@ -848,8 +836,6 @@ int main(int argc, char** argv) {
         } else if (args[i] == "--spawn-workers" && i + 1 < args.size()) {
             if (!util::parse_size(args[++i], opt.spawn_workers) || opt.spawn_workers == 0)
                 return usage();
-        } else if (args[i] == "--shard-mode" && i + 1 < args.size()) {
-            opt.shard_mode = util::to_lower(args[++i]);
         } else if (args[i] == "--metrics-port" && i + 1 < args.size()) {
             if (!util::parse_size(args[++i], opt.metrics_port)) return usage();
             opt.metrics_port_set = true;

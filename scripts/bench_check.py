@@ -13,7 +13,7 @@ Gated metrics per bench:
     ablation_mcf        rows keyed (workload, engine): warm_evals_per_sec
                         for exact rows, cold_evals_per_sec for approx
                         rows (the approx engine has no warm mode)
-    shard_scaling       rows keyed workers: sweeps_per_sec; speedup_vs_1
+    shard_scaling       rows keyed workers: grids_per_sec; speedup_vs_1
                         additionally gated only when BOTH sides ran on
                         >= 4 cores (a 1-core host cannot scale workers)
     service_throughput  achieved_rps; client_p99_ms is warn-only (latency
@@ -94,9 +94,9 @@ def check_shard(base, fresh):
     for row in fresh.get("rows", []):
         workers = row["workers"]
         baseline = base_rows.get(workers)
-        report("shard_scaling", f"{workers}w sweeps_per_sec",
-               baseline and baseline.get("sweeps_per_sec"),
-               row.get("sweeps_per_sec"))
+        report("shard_scaling", f"{workers}w grids_per_sec",
+               baseline and baseline.get("grids_per_sec"),
+               row.get("grids_per_sec"))
     if cores_of(base) >= 4 and cores_of(fresh) >= 4:
         for row in fresh.get("rows", []):
             baseline = base_rows.get(row["workers"])

@@ -5,8 +5,10 @@
 # and check the typed-error and byte-parity contracts hold under each.
 #
 # Gates:
-#   1. `shard --faults` (stall + drop + garbage, then a SIGKILLed worker)
-#      still produces bytes identical to the single-node `portfolio` run.
+#   1. `shard --faults` (stall + garbage, then a SIGKILLed worker) still
+#      produces bytes identical to the single-node `portfolio` run, and
+#      --print-metrics shows the stall and garbage really fired (nonzero
+#      timeouts and retries).
 #   2. `map --deadline-ms 1` on an SA run exits 1 with
 #      `error[deadline-exceeded]`; a generous deadline exits 0.
 #   3. A serve batch over --max-pending gets a typed "overloaded" error
@@ -33,24 +35,48 @@ fail() {
 "$CLI" portfolio $APPS --topologies "$TOPOLOGIES" \
     --json "$OUT/single-node.json" --json-stable > "$OUT/single-node.log"
 
-# Worker 0 stalls one exchange past the io timeout, then garbles another;
-# worker 1 drops a reply. Every fault is retried or migrated; the merged
-# document must not change by a byte.
+# One shard run gives each link two exchanges: #0 the hello, #1 its task.
+# Worker 0 stalls its task (a timeout), worker 1 garbles its task reply;
+# each reconnects, re-hellos and retries the task. The merged document
+# must not change by a byte.
 # shellcheck disable=SC2086
 "$CLI" shard $APPS --topologies "$TOPOLOGIES" \
-    --spawn-workers 2 --shard-mode rows \
-    --faults '0:2:stall:200,1:1:drop,0:5:garbage' --io-timeout-ms 4000 \
-    --json "$OUT/faulted-rows.json" > "$OUT/faulted-rows.log"
+    --spawn-workers 2 \
+    --faults '0:1:stall:200,1:1:garbage' --io-timeout-ms 4000 --print-metrics \
+    --json "$OUT/faulted-retry.json" > "$OUT/faulted-retry.log"
 
-# A worker SIGKILLed mid-run in scenarios mode: the survivor absorbs the
-# reassigned scenarios.
+# Sum of one shard counter over all its series in the --print-metrics line.
+shard_counter() {
+    python3 - "$1" "$OUT/faulted-retry.log" <<'PY'
+import json, sys
+name, log = sys.argv[1], sys.argv[2]
+for line in open(log):
+    if line.startswith('{"families"'):
+        for fam in json.loads(line)["families"]:
+            if fam["name"] == name:
+                print(int(sum(s["value"] for s in fam["series"])))
+                sys.exit(0)
+print(0)
+PY
+}
+for counter in timeouts retries; do
+    fired=$(shard_counter "nocmap_shard_${counter}_total")
+    if [ "$fired" -gt 0 ]; then
+        echo "chaos faults: nocmap_shard_${counter}_total=$fired"
+    else
+        fail "nocmap_shard_${counter}_total is $fired: the injected faults did not fire"
+    fi
+done
+
+# A worker SIGKILLed during its task: the survivor absorbs the reassigned
+# scenarios.
 # shellcheck disable=SC2086
 "$CLI" shard $APPS --topologies "$TOPOLOGIES" \
-    --spawn-workers 2 --shard-mode scenarios \
+    --spawn-workers 2 \
     --faults '0:1:kill' \
     --json "$OUT/faulted-kill.json" > "$OUT/faulted-kill.log"
 
-for variant in rows kill; do
+for variant in retry kill; do
     if cmp -s "$OUT/single-node.json" "$OUT/faulted-$variant.json"; then
         echo "chaos $variant: byte-identical to the single-node run"
     else

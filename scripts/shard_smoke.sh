@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Shard smoke: spawn two local serve workers and run the same 2-app x
-# 2-topology portfolio grid three ways — single-node `portfolio`, sharded
-# rows mode, sharded scenarios mode — then diff the stable JSON documents.
-# Byte identity across all three is the shard determinism contract: the
-# coordinator's scatter/merge must be invisible in the output.
+# 2-topology portfolio grid twice — single-node `portfolio` and sharded —
+# then diff the stable JSON documents. Byte identity is the shard
+# determinism contract: the coordinator's scatter/merge must be invisible
+# in the output.
 #
-# Both shard runs exercise the full stack: `--spawn-workers 2` forks two
+# The shard run exercises the full stack: `--spawn-workers 2` forks two
 # `serve --socket` subprocesses on ephemeral loopback ports, speaks the
 # shard protocol verbs over TCP, and tears the fleet down afterwards.
 #
@@ -25,25 +25,14 @@ TOPOLOGIES="mesh,torus"
 
 # shellcheck disable=SC2086
 "$CLI" shard $APPS --topologies "$TOPOLOGIES" \
-    --spawn-workers 2 --shard-mode rows \
-    --json "$OUT/shard-rows.json" > "$OUT/shard-rows.log"
+    --spawn-workers 2 \
+    --json "$OUT/shard.json" > "$OUT/shard.log"
 
-# shellcheck disable=SC2086
-"$CLI" shard $APPS --topologies "$TOPOLOGIES" \
-    --spawn-workers 2 --shard-mode scenarios \
-    --json "$OUT/shard-scenarios.json" > "$OUT/shard-scenarios.log"
-
-failures=0
-for mode in rows scenarios; do
-    if cmp -s "$OUT/single-node.json" "$OUT/shard-$mode.json"; then
-        echo "shard $mode: byte-identical to the single-node run"
-    else
-        echo "shard $mode: MISMATCH vs single-node bytes:"
-        diff "$OUT/single-node.json" "$OUT/shard-$mode.json" || true
-        failures=1
-    fi
-done
-
-exit_with=$failures
-[ "$exit_with" -eq 0 ] && echo "shard smoke OK (artifacts in $OUT/)"
-exit "$exit_with"
+if cmp -s "$OUT/single-node.json" "$OUT/shard.json"; then
+    echo "shard: byte-identical to the single-node run"
+    echo "shard smoke OK (artifacts in $OUT/)"
+else
+    echo "shard: MISMATCH vs single-node bytes:"
+    diff "$OUT/single-node.json" "$OUT/shard.json" || true
+    exit 1
+fi

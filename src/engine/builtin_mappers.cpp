@@ -171,24 +171,16 @@ MapOutcome run_nmap(const MapRequest& request) {
 
 // ------------------------------------------------------------ split modes
 
-nmap::McfEngine parse_mcf_engine(const std::string& name) {
-    if (name == "exact") return nmap::McfEngine::Exact;
-    if (name == "approx") return nmap::McfEngine::Approx;
-    return nmap::McfEngine::Auto;
-}
-
 std::vector<ParamSpec> split_specs() {
     return {
         int_spec("approx_iterations", 32, 1, 1e6,
                  "Frank-Wolfe iterations of the approximate inner MCF engine"),
         bool_spec("exact_final_polish", true,
                   "re-score the final mapping with the exact simplex LP"),
-        bool_spec("exact_inner_lp", false,
-                  "solve every per-swap MCF with the exact simplex (the paper's "
-                  "literal loop; minutes instead of seconds)"),
-        enum_spec("mcf_engine", "auto", {"auto", "exact", "approx"},
-                  "inner MCF engine for the per-swap evaluations; auto follows "
-                  "exact_inner_lp, exact/approx override it"),
+        enum_spec("mcf_engine", "approx", {"exact", "approx"},
+                  "inner MCF engine for the per-swap evaluations: exact simplex "
+                  "(the paper's literal loop; minutes instead of seconds) or "
+                  "Frank-Wolfe approximation"),
         bool_spec("optimize_bandwidth", false,
                   "Figure-4 variant: minimize the min-max link load instead of "
                   "MCF1/MCF2 under fixed capacities"),
@@ -209,8 +201,9 @@ MapOutcome run_split(const MapRequest& request, nmap::SplitMode mode) {
     options.max_sweeps = static_cast<std::size_t>(request.params.int_or("sweeps", 1));
     options.approx_iterations =
         static_cast<std::size_t>(request.params.int_or("approx_iterations", 32));
-    options.exact_inner_lp = request.params.bool_or("exact_inner_lp", false);
-    options.mcf_engine = parse_mcf_engine(request.params.string_or("mcf_engine", "auto"));
+    options.mcf_engine = request.params.string_or("mcf_engine", "approx") == "exact"
+                             ? nmap::McfEngine::Exact
+                             : nmap::McfEngine::Approx;
     options.exact_final_polish = request.params.bool_or("exact_final_polish", true);
     options.optimize_bandwidth = request.params.bool_or("optimize_bandwidth", false);
     options.routing_prefilter = request.params.bool_or("routing_prefilter", false);

@@ -6,7 +6,6 @@
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,10 +16,10 @@ namespace nocmap::engine {
 
 namespace {
 
-/// Worker pool scoring one candidate row at a time, shared by sweep() and
-/// score_rows(). One pool per driver call (not per row): a row's scoring
-/// is often microseconds under incremental pruning, where per-row thread
-/// spawn and join would dominate. Workers only touch the row state between
+/// Worker pool scoring one candidate row at a time for sweep(). One pool
+/// per driver call (not per row): a row's scoring is often microseconds
+/// under incremental pruning, where per-row thread spawn and join would
+/// dominate. Workers only touch the row state between
 /// the two barriers of a row; the owner only mutates it outside that
 /// window, so the barriers are the only synchronization needed.
 class RowScoringPool {
@@ -210,68 +209,6 @@ SweepOutcome SwapSweepDriver::sweep(const noc::Mapping& initial, SweepPolicy& po
         if (!improved) break;
     }
     return outcome;
-}
-
-RowSliceOutcome SwapSweepDriver::score_rows(const noc::Mapping& placed, SweepPolicy& policy,
-                                            const RowWindow& window) const {
-    if (options_.acceptance != Acceptance::Greedy)
-        throw std::logic_error(
-            "SwapSweepDriver::score_rows: only greedy acceptance can be sharded "
-            "(first-improvement re-bases mid-row)");
-    RowSliceOutcome out;
-    const std::size_t evals_before = policy.evaluations();
-    const Score placed_score = policy.evaluate(placed);
-    out.placed_score = placed_score;
-    policy.on_rebase(placed, placed_score);
-
-    const auto tiles = static_cast<noc::TileId>(placed.tile_count());
-    const noc::TileId row_end = std::min<noc::TileId>(window.row_end, tiles);
-    const std::size_t workers = std::max<std::size_t>(
-        1, std::min(worker_count(policy), placed.tile_count()));
-    std::optional<RowScoringPool> pool;
-    if (workers > 1) pool.emplace(policy, workers);
-
-    std::vector<noc::TileId> js;
-    std::vector<Score> scores;
-    for (noc::TileId i = window.row_begin; i < row_end; ++i) {
-        js.clear();
-        const noc::TileId j_lo = std::max<noc::TileId>(window.col_begin,
-                                                       static_cast<noc::TileId>(i + 1));
-        const noc::TileId j_hi =
-            window.col_end == 0 ? tiles : std::min<noc::TileId>(window.col_end, tiles);
-        for (noc::TileId j = j_lo; j < j_hi; ++j) {
-            // Swapping two empty tiles is a no-op; skip it (same rule as
-            // sweep(), so windows tile the identical candidate set).
-            if (!placed.is_occupied(i) && !placed.is_occupied(j)) continue;
-            js.push_back(j);
-        }
-        RowBest best;
-        best.row = i;
-        // The running incumbent tightens within the row exactly like the
-        // serial sweep; the final best is the first j attaining the row
-        // minimum, which is chunk-boundary independent (a later equal
-        // score never replaces it — better_than is strict).
-        Score incumbent = placed_score;
-        const auto consider = [&](noc::TileId j, const Score& score) {
-            if (!score.better_than(incumbent)) return;
-            incumbent = score;
-            best.improved = true;
-            best.partner = j;
-            best.score = score;
-        };
-        if (pool) {
-            scores.assign(js.size(), Score{});
-            pool->score_row(placed, placed_score, placed_score, i, js, scores);
-            for (std::size_t k = 0; k < js.size(); ++k) consider(js[k], scores[k]);
-        } else {
-            for (const noc::TileId j : js)
-                consider(j, policy.evaluate_swap(placed, placed_score, incumbent, i, j));
-        }
-        out.rows.push_back(best);
-        if (best.improved) break;
-    }
-    out.evaluations = policy.evaluations() - evals_before;
-    return out;
 }
 
 namespace {

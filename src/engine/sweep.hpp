@@ -136,43 +136,6 @@ struct SweepOutcome {
     std::size_t accepted = 0;
 };
 
-/// A window of the sweep's candidate triangle: outer rows [row_begin,
-/// row_end), and within each row partners j restricted to [col_begin,
-/// col_end) ∩ (i, tiles). col_end == 0 means "to the end of the row". The
-/// shard coordinator scatters these windows over workers.
-struct RowWindow {
-    noc::TileId row_begin = 0;
-    noc::TileId row_end = 0;
-    noc::TileId col_begin = 0;
-    noc::TileId col_end = 0; ///< exclusive; 0 = tiles
-};
-
-/// One row's outcome from score_rows(): whether any candidate in the
-/// window strictly improved on the placed score and, if so, the row's best
-/// candidate under the greedy rule (the first j attaining the row minimum
-/// — exactly the swap a serial sweep would have committed at row end).
-struct RowBest {
-    noc::TileId row = 0;
-    bool improved = false;
-    noc::TileId partner = 0; ///< valid when improved
-    Score score;             ///< score of (row, partner) when improved
-};
-
-struct RowSliceOutcome {
-    /// The policy's full evaluation of `placed` — the incumbent every row
-    /// of the slice was scored against (greedy semantics: the sweep
-    /// re-bases after each improving row, so at every row start the
-    /// incumbent equals the placed score).
-    Score placed_score;
-    /// Ascending rows of the window. Scanning stops after the first
-    /// improved row: a serial sweep would commit and re-base there, so
-    /// scores of the remaining rows would be against a stale mapping.
-    std::vector<RowBest> rows;
-    /// Policy evaluations spent in this call (diagnostics only; pruning
-    /// makes the count thread-count dependent).
-    std::size_t evaluations = 0;
-};
-
 /// Options of the stochastic Metropolis walk (the SA baseline's loop).
 struct AnnealOptions {
     std::uint64_t seed = 1;
@@ -222,18 +185,6 @@ public:
     /// `policy`. The initial mapping must be complete enough for the policy
     /// to evaluate (all algorithms here start from a complete placement).
     SweepOutcome sweep(const noc::Mapping& initial, SweepPolicy& policy) const;
-
-    /// Evaluates one window of the candidate triangle against a fixed
-    /// `placed` mapping and returns per-row best candidates — the shard
-    /// worker's entry point. Greedy acceptance only (throws
-    /// std::logic_error otherwise): a coordinator that commits the first
-    /// improved row's best, re-bases, and re-scatters the remaining rows
-    /// reproduces sweep() exactly, for any partition of the triangle into
-    /// windows — the merge is the same lowest-index-first reduction.
-    /// SweepOptions::threads parallelizes candidate scoring within the
-    /// window exactly like sweep().
-    RowSliceOutcome score_rows(const noc::Mapping& placed, SweepPolicy& policy,
-                               const RowWindow& window) const;
 
 private:
     std::size_t worker_count(const SweepPolicy& policy) const;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
@@ -197,23 +196,6 @@ MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::Top
 MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const SinglePathOptions& options) {
     return run_single_path(graph, ctx.topology(), &ctx, options);
-}
-
-engine::RowSliceOutcome score_single_path_rows(const graph::CoreGraph& graph,
-                                               const noc::EvalContext& ctx,
-                                               const noc::Mapping& placed,
-                                               const SinglePathOptions& options,
-                                               const engine::RowWindow& window) {
-    if (options.eval == SweepEval::LedgerFast)
-        throw std::invalid_argument(
-            "score_single_path_rows: eval=ledger-fast is path-dependent and cannot be "
-            "sharded deterministically (use ledger-exact, incremental or naive)");
-    SinglePathPolicy policy(graph, ctx.topology(), options, &ctx);
-    engine::SweepOptions sweep;
-    sweep.threads = options.threads;
-    sweep.cancel = options.cancel;
-    const engine::SwapSweepDriver driver(sweep);
-    return driver.score_rows(placed, policy, window);
 }
 
 } // namespace nocmap::nmap

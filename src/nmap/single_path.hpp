@@ -67,18 +67,4 @@ MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::Top
 MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const SinglePathOptions& options = {});
 
-/// Shard-worker entry point: scores one window of the swap-sweep candidate
-/// triangle against a fixed `placed` mapping under the single-minimum-path
-/// objective (the same policy map_with_single_path sweeps with), returning
-/// per-row best candidates for the coordinator's lowest-index-first merge.
-/// Rejects SweepEval::LedgerFast: its router state is path-dependent (each
-/// worker would bind fresh and diverge from a single-node run's commit
-/// chain); the other modes are path-independent and merge byte-identically.
-/// `options.max_sweeps` is ignored — the coordinator owns the sweep loop.
-engine::RowSliceOutcome score_single_path_rows(const graph::CoreGraph& graph,
-                                               const noc::EvalContext& ctx,
-                                               const noc::Mapping& placed,
-                                               const SinglePathOptions& options,
-                                               const engine::RowWindow& window);
-
 } // namespace nocmap::nmap

@@ -13,12 +13,7 @@ namespace nocmap::nmap {
 namespace {
 
 bool use_exact_inner(const SplitOptions& options) {
-    switch (options.mcf_engine) {
-    case McfEngine::Exact: return true;
-    case McfEngine::Approx: return false;
-    case McfEngine::Auto: break;
-    }
-    return options.exact_inner_lp;
+    return options.mcf_engine == McfEngine::Exact;
 }
 
 lp::McfOptions make_mcf_options(const SplitOptions& options, lp::McfObjective objective,

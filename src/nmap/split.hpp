@@ -25,7 +25,6 @@ enum class SplitMode {
 
 /// Inner MCF engine selection for the per-swap evaluations.
 enum class McfEngine {
-    Auto,   ///< follow SplitOptions::exact_inner_lp (the legacy knob)
     Exact,  ///< exact simplex on every swap
     Approx, ///< Frank–Wolfe approximation on every swap
 };
@@ -36,9 +35,7 @@ struct SplitOptions {
     /// swap reproduces the paper literally but costs minutes; the default
     /// follows the paper's own speed/quality trade-off (cf. its ILP remark)
     /// and uses the Frank–Wolfe approximation inside the loop.
-    bool exact_inner_lp = false;
-    /// Overrides exact_inner_lp when not Auto.
-    McfEngine mcf_engine = McfEngine::Auto;
+    McfEngine mcf_engine = McfEngine::Approx;
     /// Warm-start the exact inner engine across consecutive swap
     /// candidates: column generation is seeded with the paths of the
     /// previous optima (see lp::McfSolver). Objectives and feasibility

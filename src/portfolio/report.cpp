@@ -106,18 +106,6 @@ std::string to_json(const std::vector<ScenarioResult>& results,
     return os.str();
 }
 
-void write_json(std::ostream& os, const std::vector<ScenarioResult>& results,
-                const std::vector<TopologyRanking>& topology_ranking,
-                const TopologyCache* cache) {
-    write_json(os, results, topology_ranking, JsonOptions{cache, true});
-}
-
-std::string to_json(const std::vector<ScenarioResult>& results,
-                    const std::vector<TopologyRanking>& topology_ranking,
-                    const TopologyCache* cache) {
-    return to_json(results, topology_ranking, JsonOptions{cache, true});
-}
-
 void print_report(std::ostream& os, const std::vector<ScenarioResult>& results,
                   const std::vector<TopologyRanking>& topology_ranking) {
     util::Table scenarios("Portfolio scenarios (best first)");

@@ -31,15 +31,6 @@ std::string to_json(const std::vector<ScenarioResult>& results,
                     const std::vector<TopologyRanking>& topology_ranking,
                     const JsonOptions& options = {});
 
-/// Compatibility shims: cache pointer only, timings on.
-void write_json(std::ostream& os, const std::vector<ScenarioResult>& results,
-                const std::vector<TopologyRanking>& topology_ranking,
-                const TopologyCache* cache);
-
-std::string to_json(const std::vector<ScenarioResult>& results,
-                    const std::vector<TopologyRanking>& topology_ranking,
-                    const TopologyCache* cache);
-
 /// Prints the scenario table (best-first) and the fabric ranking.
 void print_report(std::ostream& os, const std::vector<ScenarioResult>& results,
                   const std::vector<TopologyRanking>& topology_ranking);

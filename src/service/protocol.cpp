@@ -200,30 +200,6 @@ Request parse_request(const std::string& line) {
         request.kind = Request::Kind::Shutdown;
     } else if (method == "hello") {
         request.kind = Request::Kind::Hello;
-    } else if (method == "shard-rows") {
-        request.kind = Request::Kind::ShardRows;
-        ShardRowsRequest& t = request.shard_rows;
-        t.graph_text = get_string(doc, "graph", "");
-        if (t.graph_text.empty())
-            throw std::invalid_argument("shard-rows request needs a 'graph' text");
-        t.topology = get_string(doc, "topology", "");
-        if (t.topology.empty())
-            throw std::invalid_argument("shard-rows request needs a 'topology'");
-        t.bandwidth = get_number(doc, "bandwidth", 1e9);
-        if (t.bandwidth <= 0.0) throw std::invalid_argument("'bandwidth' must be > 0");
-        const Value* mapping = doc.find("mapping");
-        if (!mapping || !mapping->is_array() || mapping->as_array().empty())
-            throw std::invalid_argument("shard-rows request needs a non-empty 'mapping' array");
-        for (const Value& entry : mapping->as_array()) {
-            if (!entry.is_number())
-                throw std::invalid_argument("'mapping' entries must be numbers");
-            t.tile_cores.push_back(static_cast<std::int64_t>(entry.as_number()));
-        }
-        t.window.row_begin = static_cast<noc::TileId>(get_uint(doc, "row_begin", 0));
-        t.window.row_end = static_cast<noc::TileId>(get_uint(doc, "row_end", 0));
-        t.window.col_begin = static_cast<noc::TileId>(get_uint(doc, "col_begin", 0));
-        t.window.col_end = static_cast<noc::TileId>(get_uint(doc, "col_end", 0));
-        t.params = parse_params_object(doc);
     } else if (method == "shard-map") {
         request.kind = Request::Kind::ShardMap;
         const Value* scenarios = doc.find("scenarios");
@@ -253,11 +229,11 @@ Request parse_request(const std::string& line) {
     } else if (method.empty()) {
         throw std::invalid_argument(
             "request needs a 'method' (map|describe|stats|metrics|list-apps|ping|shutdown|"
-            "hello|shard-rows|shard-map)");
+            "hello|shard-map)");
     } else {
         throw std::invalid_argument("unknown method '" + method +
                                     "' (expected map|describe|stats|metrics|list-apps|ping|"
-                                    "shutdown|hello|shard-rows|shard-map)");
+                                    "shutdown|hello|shard-map)");
     }
     return request;
 }
@@ -319,28 +295,6 @@ std::string hello_response(const std::string& id, std::size_t cores) {
            std::to_string(cores) + "}";
 }
 
-std::string shard_rows_response(const std::string& id, const engine::RowSliceOutcome& slice) {
-    using util::json::hex_number;
-    std::string out = response_head(id, "ok") +
-                      ", \"placed\": {\"primary\": " + hex_number(slice.placed_score.primary) +
-                      ", \"secondary\": " + hex_number(slice.placed_score.secondary) +
-                      ", \"feasible\": " + (slice.placed_score.feasible ? "true" : "false") +
-                      "}, \"rows\": [";
-    for (std::size_t i = 0; i < slice.rows.size(); ++i) {
-        const engine::RowBest& row = slice.rows[i];
-        if (i > 0) out += ", ";
-        out += "{\"row\": " + std::to_string(row.row) +
-               ", \"improved\": " + (row.improved ? "true" : "false");
-        if (row.improved)
-            out += ", \"partner\": " + std::to_string(row.partner) +
-                   ", \"primary\": " + hex_number(row.score.primary) +
-                   ", \"secondary\": " + hex_number(row.score.secondary) +
-                   ", \"feasible\": " + (row.score.feasible ? "true" : "false");
-        out += "}";
-    }
-    return out + "], \"evaluations\": " + std::to_string(slice.evaluations) + "}";
-}
-
 std::string shard_map_response(const std::string& id,
                                const std::vector<ShardMapMetrics>& results) {
     using util::json::hex_number;
@@ -385,25 +339,6 @@ std::string shutdown_request(const std::string& id) {
     return "{\"id\": " + quoted(id) + ", \"method\": \"shutdown\"}";
 }
 
-std::string shard_rows_request(const std::string& id, const ShardRowsRequest& task) {
-    std::string out = "{\"id\": " + quoted(id) + ", \"method\": \"shard-rows\"" +
-                      ", \"graph\": " + quoted(task.graph_text) +
-                      ", \"topology\": " + quoted(task.topology);
-    char bw[32];
-    std::snprintf(bw, sizeof bw, "%.17g", task.bandwidth);
-    out += std::string(", \"bandwidth\": ") + bw + ", \"mapping\": [";
-    for (std::size_t i = 0; i < task.tile_cores.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += std::to_string(task.tile_cores[i]);
-    }
-    out += "], \"row_begin\": " + std::to_string(task.window.row_begin) +
-           ", \"row_end\": " + std::to_string(task.window.row_end) +
-           ", \"col_begin\": " + std::to_string(task.window.col_begin) +
-           ", \"col_end\": " + std::to_string(task.window.col_end) +
-           ", \"params\": " + params_json(task.params) + "}";
-    return out;
-}
-
 std::string shard_map_request(const std::string& id,
                               const std::vector<ShardMapScenario>& scenarios) {
     std::string out = "{\"id\": " + quoted(id) + ", \"method\": \"shard-map\"" +
@@ -430,36 +365,6 @@ std::size_t parse_hello_response(const std::string& line) {
     const std::uint64_t cores = get_uint(doc, "cores", 0);
     if (cores == 0) throw std::invalid_argument("hello response needs a positive 'cores'");
     return static_cast<std::size_t>(cores);
-}
-
-engine::RowSliceOutcome parse_shard_rows_response(const std::string& line) {
-    const Value doc = parse_response_document(line);
-    engine::RowSliceOutcome out;
-    const Value* placed = doc.find("placed");
-    if (!placed || !placed->is_object())
-        throw std::invalid_argument("shard-rows response needs a 'placed' score");
-    out.placed_score.primary = get_hex(*placed, "primary");
-    out.placed_score.secondary = get_hex(*placed, "secondary");
-    out.placed_score.feasible = get_bool(*placed, "feasible", false);
-    const Value* rows = doc.find("rows");
-    if (!rows || !rows->is_array())
-        throw std::invalid_argument("shard-rows response needs a 'rows' array");
-    for (const Value& entry : rows->as_array()) {
-        if (!entry.is_object())
-            throw std::invalid_argument("'rows' entries must be objects");
-        engine::RowBest row;
-        row.row = static_cast<noc::TileId>(get_uint(entry, "row", 0));
-        row.improved = get_bool(entry, "improved", false);
-        if (row.improved) {
-            row.partner = static_cast<noc::TileId>(get_uint(entry, "partner", 0));
-            row.score.primary = get_hex(entry, "primary");
-            row.score.secondary = get_hex(entry, "secondary");
-            row.score.feasible = get_bool(entry, "feasible", false);
-        }
-        out.rows.push_back(row);
-    }
-    out.evaluations = static_cast<std::size_t>(get_uint(doc, "evaluations", 0));
-    return out;
 }
 
 std::vector<ShardMapMetrics> parse_shard_map_response(const std::string& line) {

@@ -33,17 +33,13 @@
 // Shard verbs (coordinator <-> worker, see shard/coordinator.hpp):
 //
 //   {"id":"h1","method":"hello"}
-//   {"id":"t1","method":"shard-rows","graph":"...","topology":"mesh:4x4",
-//    "bandwidth":1000,"mapping":[0,1,-1,...],"row_begin":3,"row_end":4,
-//    "col_begin":8,"col_end":12,"params":{"eval":"ledger-exact"}}
-//   {"id":"t2","method":"shard-map","scenarios":[{"app":"vopd",
+//   {"id":"t1","method":"shard-map","scenarios":[{"app":"vopd",
 //    "graph":"...","topology":"torus:4x4","bandwidth":1000,"mapper":"nmap",
 //    "params":{},"seed":7}, ...]}
 //
-// hello advertises the worker's core budget for weighted partitioning. A
-// shard-rows task scores one window of the swap-sweep candidate triangle
-// against the carried mapping; a shard-map task runs whole scenarios.
-// Both replies ship every floating-point metric as a hex-float string
+// hello advertises the worker's core budget for weighted partitioning; a
+// shard-map task runs whole scenarios. Its reply ships every floating-point
+// metric as a hex-float string
 // (util::json::hex_number): the report-facing number() is %.6g, which is
 // lossy, and the coordinator must rebuild byte-identical documents from
 // worker replies.
@@ -54,7 +50,6 @@
 
 #include "engine/mapper.hpp"
 #include "engine/params.hpp"
-#include "engine/sweep.hpp"
 #include "eval/backend.hpp"
 #include "portfolio/topology_cache.hpp"
 
@@ -77,19 +72,6 @@ struct MapRequest {
     /// A scenario still mapping when it expires becomes a typed
     /// "deadline-exceeded" per-scenario error inside the report.
     std::uint64_t deadline_ms = 0;
-};
-
-/// One "shard-rows" task: score a window of the swap-sweep candidate
-/// triangle against a fixed placed mapping (engine::SwapSweepDriver::
-/// score_rows through the single-minimum-path policy).
-struct ShardRowsRequest {
-    std::string graph_text;  ///< graph::core_graph_to_string of the app
-    std::string topology;    ///< resolved TopologySpec token ("torus:4x4")
-    double bandwidth = 1e9;  ///< uniform link capacity, MB/s
-    /// The placed mapping, per tile: core id or -1 when the tile is empty.
-    std::vector<std::int64_t> tile_cores;
-    engine::RowWindow window;
-    engine::Params params;   ///< nmap knobs ("eval", "threads")
 };
 
 /// One scenario of a "shard-map" task. The graph rides along as text so a
@@ -133,7 +115,6 @@ struct Request {
         Ping,
         Shutdown,
         Hello,
-        ShardRows,
         ShardMap,
         Metrics,
         ListApps,
@@ -142,7 +123,6 @@ struct Request {
     std::string id;            ///< echoed verbatim in the response ("" when absent)
     MapRequest map;            ///< populated when kind == Kind::Map
     std::string describe_algo; ///< Kind::Describe: registry key; "" = all
-    ShardRowsRequest shard_rows;                 ///< Kind::ShardRows
     std::vector<ShardMapScenario> shard_scenarios; ///< Kind::ShardMap
 };
 
@@ -186,16 +166,14 @@ std::string metrics_response(const std::string& id, const std::string& metrics_j
 std::string list_apps_response(const std::string& id, const std::string& registry_json);
 std::string shutdown_response(const std::string& id);
 std::string hello_response(const std::string& id, std::size_t cores);
-std::string shard_rows_response(const std::string& id, const engine::RowSliceOutcome& slice);
 std::string shard_map_response(const std::string& id,
                                const std::vector<ShardMapMetrics>& results);
 
 /// Request serializers — the coordinator's side of the shard verbs (one
-/// line each, no trailing '\n'). shard_rows_request/shard_map_request
-/// round-trip through parse_request bit-exactly (hex-float transport).
+/// line each, no trailing '\n'). shard_map_request round-trips through
+/// parse_request bit-exactly (hex-float transport).
 std::string hello_request(const std::string& id);
 std::string shutdown_request(const std::string& id);
-std::string shard_rows_request(const std::string& id, const ShardRowsRequest& task);
 std::string shard_map_request(const std::string& id,
                               const std::vector<ShardMapScenario>& scenarios);
 
@@ -203,7 +181,6 @@ std::string shard_map_request(const std::string& id,
 /// throws std::invalid_argument on malformed lines and std::runtime_error
 /// carrying the worker's message on an "error" status.
 std::size_t parse_hello_response(const std::string& line);
-engine::RowSliceOutcome parse_shard_rows_response(const std::string& line);
 std::vector<ShardMapMetrics> parse_shard_map_response(const std::string& line);
 
 } // namespace nocmap::service

@@ -21,7 +21,6 @@
 #include "apps/registry.hpp"
 #include "engine/mapper.hpp"
 #include "graph/graph_io.hpp"
-#include "nmap/single_path.hpp"
 #include "portfolio/report.hpp"
 #include "portfolio/scenario.hpp"
 #include "util/json.hpp"
@@ -134,7 +133,6 @@ const char* verb_name(Request::Kind kind) {
     case Request::Kind::Ping: return "ping";
     case Request::Kind::Shutdown: return "shutdown";
     case Request::Kind::Hello: return "hello";
-    case Request::Kind::ShardRows: return "shard-rows";
     case Request::Kind::ShardMap: return "shard-map";
     case Request::Kind::ListApps: return "list-apps";
     }
@@ -144,9 +142,9 @@ const char* verb_name(Request::Kind kind) {
 /// Every verb label pre-registered so the metrics document's structure is
 /// fixed at construction: a scrape differs between daemons only in counter
 /// values, never in which series exist.
-const char* const kAllVerbs[] = {"map",  "describe", "stats",      "metrics",
-                                 "ping", "shutdown", "hello",      "shard-rows",
-                                 "shard-map", "list-apps", "invalid"};
+const char* const kAllVerbs[] = {"map",  "describe", "stats",     "metrics",
+                                 "ping", "shutdown", "hello",     "shard-map",
+                                 "list-apps", "invalid"};
 
 } // namespace
 
@@ -369,28 +367,6 @@ std::vector<std::string> Service::handle_batch(const std::vector<std::string>& l
                         ? options_.threads
                         : std::max<std::size_t>(1, std::thread::hardware_concurrency());
                 p.response = hello_response(request.id, cores);
-                break;
-            }
-            case Request::Kind::ShardRows: {
-                const ShardRowsRequest& t = request.shard_rows;
-                const auto graph = graph_from_text(t.graph_text);
-                const auto spec = portfolio::TopologySpec::parse(t.topology, t.bandwidth);
-                const auto ctx = runner_.cache().get(spec, graph->node_count());
-                noc::Mapping placed(graph->node_count(), t.tile_cores.size());
-                for (std::size_t tile = 0; tile < t.tile_cores.size(); ++tile)
-                    if (t.tile_cores[tile] >= 0)
-                        placed.place(static_cast<graph::NodeId>(t.tile_cores[tile]),
-                                     static_cast<noc::TileId>(tile));
-                nmap::SinglePathOptions opt;
-                opt.threads = static_cast<std::size_t>(t.params.int_or("threads", 1));
-                const std::string eval = t.params.string_or("eval", "ledger-exact");
-                if (eval == "naive") opt.eval = nmap::SweepEval::Naive;
-                else if (eval == "incremental") opt.eval = nmap::SweepEval::Incremental;
-                else if (eval == "ledger-fast") opt.eval = nmap::SweepEval::LedgerFast;
-                else opt.eval = nmap::SweepEval::LedgerExact;
-                p.response = shard_rows_response(
-                    request.id,
-                    nmap::score_single_path_rows(*graph, *ctx, placed, opt, t.window));
                 break;
             }
             case Request::Kind::ShardMap: {

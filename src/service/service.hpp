@@ -142,8 +142,8 @@ private:
     std::shared_ptr<const graph::CoreGraph> graph_for(const std::string& target);
     /// Shard-verb graphs, parsed once per distinct text payload (shard
     /// tasks carry the graph inline so workers never touch the
-    /// coordinator's filesystem; rows tasks repeat the same text every
-    /// row, so parsing must not).
+    /// coordinator's filesystem; a coordinator that runs several grids
+    /// repeats the same text every time, so parsing must not).
     std::shared_ptr<const graph::CoreGraph> graph_from_text(const std::string& text);
 
     /// Claims one in-flight admission slot against max_pending; false when

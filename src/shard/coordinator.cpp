@@ -6,17 +6,10 @@
 #include <thread>
 #include <utility>
 
-#include "engine/map_api.hpp"
-#include "engine/mapper.hpp"
 #include "engine/thread_budget.hpp"
 #include "graph/graph_io.hpp"
-#include "nmap/initialize.hpp"
-#include "nmap/shortest_path_router.hpp"
-#include "noc/commodity.hpp"
-#include "noc/evaluation.hpp"
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
-#include "sim/area_model.hpp"
 
 namespace nocmap::shard {
 
@@ -47,7 +40,7 @@ bool looks_like_response(const std::string& line) {
 } // namespace
 
 Coordinator::Coordinator(std::vector<std::unique_ptr<WorkerLink>> links, ShardOptions options)
-    : options_(options), cache_(options.energy_model, options.cache_topologies) {
+    : options_(options) {
     if (links.empty()) throw std::runtime_error("shard: coordinator needs at least one worker");
     workers_.reserve(links.size());
     for (auto& link : links) {
@@ -225,210 +218,6 @@ std::vector<std::string> Coordinator::dispatch_all(const std::vector<std::string
 
 std::vector<portfolio::ScenarioResult> Coordinator::run_grid(
     const std::vector<portfolio::Scenario>& grid) {
-    std::vector<portfolio::ScenarioResult> results =
-        options_.mode == ShardMode::Rows ? run_rows(grid) : run_scenarios(grid);
-    portfolio::PortfolioRunner::scalarize(results, options_.weights);
-    return results;
-}
-
-// ----------------------------------------------------------------- rows
-
-portfolio::ScenarioResult Coordinator::rows_scenario(const portfolio::Scenario& scenario,
-                                                     std::size_t index) {
-    portfolio::ScenarioResult r = result_shell(scenario, index);
-    if (!scenario.graph) {
-        r.ok = false;
-        r.error = "scenario has no application graph";
-        return r;
-    }
-    // Rows mode enforces the scenario deadline coordinator-side, between
-    // dispatch rounds. It must NOT ride the shard-rows wire: a worker that
-    // early-stopped a row would change which candidates were scored and
-    // break byte parity for runs that finish in time.
-    const auto started = std::chrono::steady_clock::now();
-    const auto deadline_expired = [&] {
-        return scenario.deadline_ms > 0 &&
-               std::chrono::steady_clock::now() - started >=
-                   std::chrono::milliseconds(scenario.deadline_ms);
-    };
-    try {
-        if (scenario.mapper != "nmap")
-            throw std::invalid_argument("rows-mode sharding requires mapper 'nmap' (got '" +
-                                        scenario.mapper +
-                                        "'); use --shard-mode scenarios for other mappers");
-        const std::size_t cores = scenario.graph->node_count();
-        r.fabric = scenario.topology.cache_key(cores);
-        const auto ctx = cache_.get(scenario.topology, cores);
-        r.tiles = ctx->topology().tile_count();
-        r.links = ctx->topology().link_count();
-
-        // The same validation gate a single-node run passes through
-        // (engine::Registry::run), so a bad knob produces the identical
-        // structured error.
-        if (const auto err = engine::validate_params(
-                scenario.params, engine::registry().describe("nmap").params)) {
-            r.ok = false;
-            r.error = err->message;
-            r.error_code = std::string(engine::to_string(err->code));
-            return r;
-        }
-        if (scenario.params.string_or("eval", "ledger-exact") == "ledger-fast")
-            throw std::invalid_argument(
-                "rows-mode sharding cannot use eval=ledger-fast (path-dependent router "
-                "state); use ledger-exact, incremental or naive");
-        const auto max_sweeps =
-            static_cast<std::size_t>(scenario.params.int_or("sweeps", 1));
-
-        service::ShardRowsRequest base;
-        base.graph_text = graph::core_graph_to_string(*scenario.graph);
-        base.topology = scenario.topology.resolve(cores).display_name();
-        base.bandwidth = scenario.topology.capacity;
-        base.params = scenario.params;
-
-        noc::Mapping placed = nmap::initial_mapping(*scenario.graph, ctx->topology());
-        const auto tiles = static_cast<noc::TileId>(placed.tile_count());
-        std::size_t evaluations = 0;
-
-        const auto mapping_of = [&] {
-            std::vector<std::int64_t> tile_cores(placed.tile_count(), -1);
-            for (noc::TileId t = 0; t < tiles; ++t)
-                if (placed.is_occupied(t)) tile_cores[static_cast<std::size_t>(t)] = placed.core_at(t);
-            return tile_cores;
-        };
-
-        for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-            bool improved_this_pass = false;
-            noc::TileId next = 0;
-            while (next < tiles) {
-                if (deadline_expired()) {
-                    r.ok = false;
-                    r.error = portfolio::deadline_error_message(scenario.deadline_ms);
-                    r.error_code = std::string(
-                        engine::to_string(engine::MapErrorCode::DeadlineExceeded));
-                    return r;
-                }
-                const std::size_t candidates =
-                    static_cast<std::size_t>(tiles - next) - 1;
-                const std::size_t chunks = std::min<std::size_t>(
-                    alive_count(),
-                    std::max<std::size_t>(1, candidates /
-                                                 std::max<std::size_t>(1, options_.min_chunk)));
-                std::vector<std::string> tasks;
-                if (chunks <= 1) {
-                    // Tail rows (or one worker): one multi-row task over
-                    // the rest of the pass; the worker early-stops at the
-                    // first improving row.
-                    service::ShardRowsRequest task = base;
-                    task.tile_cores = mapping_of();
-                    task.window = engine::RowWindow{next, tiles, 0, 0};
-                    tasks.push_back(service::shard_rows_request(next_id("rows"), task));
-                } else {
-                    // One row, its j-range split into `chunks` contiguous
-                    // windows (ascending — the merge order).
-                    const noc::TileId lo = static_cast<noc::TileId>(next + 1);
-                    const std::size_t total = static_cast<std::size_t>(tiles - lo);
-                    for (std::size_t c = 0; c < chunks; ++c) {
-                        service::ShardRowsRequest task = base;
-                        task.tile_cores = mapping_of();
-                        task.window = engine::RowWindow{
-                            next, static_cast<noc::TileId>(next + 1),
-                            static_cast<noc::TileId>(lo + (total * c) / chunks),
-                            static_cast<noc::TileId>(lo + (total * (c + 1)) / chunks)};
-                        tasks.push_back(service::shard_rows_request(next_id("rows"), task));
-                    }
-                }
-                const auto replies = dispatch_all(tasks);
-
-                if (chunks <= 1) {
-                    const auto slice = service::parse_shard_rows_response(replies[0]);
-                    evaluations += slice.evaluations;
-                    bool improved = false;
-                    for (const engine::RowBest& row : slice.rows) {
-                        if (!row.improved) continue;
-                        placed.swap_tiles(row.row, row.partner);
-                        improved_this_pass = true;
-                        improved = true;
-                        next = static_cast<noc::TileId>(row.row + 1);
-                        break;
-                    }
-                    if (!improved) next = tiles;
-                } else {
-                    // Ascending-column scan under the strict better_than:
-                    // the first chunk attaining the row minimum wins, which
-                    // is the serial sweep's first-j argmin for any chunk
-                    // boundaries.
-                    const engine::RowBest* winner = nullptr;
-                    std::vector<engine::RowSliceOutcome> slices;
-                    slices.reserve(replies.size());
-                    for (const std::string& reply : replies) {
-                        slices.push_back(service::parse_shard_rows_response(reply));
-                        evaluations += slices.back().evaluations;
-                    }
-                    for (const engine::RowSliceOutcome& slice : slices) {
-                        if (slice.rows.empty() || !slice.rows.front().improved) continue;
-                        const engine::RowBest& row = slice.rows.front();
-                        if (!winner || row.score.better_than(winner->score)) winner = &row;
-                    }
-                    if (winner) {
-                        placed.swap_tiles(winner->row, winner->partner);
-                        improved_this_pass = true;
-                    }
-                    ++next;
-                }
-            }
-            if (!improved_this_pass) break;
-        }
-
-        // The final re-route of the winner — the same call the single-node
-        // mapper finishes with, so cost/feasibility/loads match bit for
-        // bit.
-        r.result = nmap::scored_result(*scenario.graph, *ctx, std::move(placed), evaluations);
-
-        // Evaluation backend runs coordinator-side (simulation is not
-        // sharded), exactly as PortfolioRunner::run_one: refinement polls
-        // the scenario deadline and an expiry is the same typed failure.
-        bool eval_deadline_fired = false;
-        portfolio::apply_eval_spec(r, scenario, *ctx, [&] {
-            if (!deadline_expired()) return false;
-            eval_deadline_fired = true;
-            return true;
-        });
-        if (eval_deadline_fired) {
-            r.ok = false;
-            r.error = portfolio::deadline_error_message(scenario.deadline_ms);
-            r.error_code =
-                std::string(engine::to_string(engine::MapErrorCode::DeadlineExceeded));
-            return r;
-        }
-        if (!r.ok) return r;
-
-        if (r.result.mapping.core_count() == cores && r.result.mapping.is_complete()) {
-            const auto commodities =
-                noc::build_commodities(*scenario.graph, r.result.mapping);
-            r.energy_mw = noc::mapping_energy_mw(*ctx, commodities);
-            r.avg_hops = noc::average_weighted_hops(*ctx, commodities);
-        }
-        r.area_mm2 = sim::fabric_area_mm2(ctx->topology(), cores);
-    } catch (const std::exception& e) {
-        r.ok = false;
-        r.error = e.what();
-    }
-    return r;
-}
-
-std::vector<portfolio::ScenarioResult> Coordinator::run_rows(
-    const std::vector<portfolio::Scenario>& grid) {
-    std::vector<portfolio::ScenarioResult> results;
-    results.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        results.push_back(rows_scenario(grid[i], i));
-    return results;
-}
-
-// ------------------------------------------------------------ scenarios
-
-std::vector<portfolio::ScenarioResult> Coordinator::run_scenarios(
-    const std::vector<portfolio::Scenario>& grid) {
     std::vector<portfolio::ScenarioResult> results;
     results.reserve(grid.size());
     // Scenarios a worker can run (those with a graph to ship); the rest
@@ -449,14 +238,15 @@ std::vector<portfolio::ScenarioResult> Coordinator::run_scenarios(
         }
         shipped.push_back(i);
     }
-    if (shipped.empty()) return results;
 
     // Contiguous partition proportional to the advertised core budgets
     // (engine::ThreadBudget::partition) — big workers take more scenarios.
+    // With every worker dead the grid still becomes one task, so
+    // dispatch_all's undeliverable path fails each scenario with an error.
     const auto live = live_workers();
     std::vector<std::size_t> weights;
-    weights.reserve(live.size());
     for (const std::size_t w : live) weights.push_back(workers_[w].cores);
+    if (weights.empty()) weights.push_back(1);
     const auto counts = engine::ThreadBudget::partition(shipped.size(), weights);
 
     std::vector<std::string> tasks;
@@ -517,6 +307,7 @@ std::vector<portfolio::ScenarioResult> Coordinator::run_scenarios(
             r.sim = m.sim;
         }
     }
+    portfolio::PortfolioRunner::scalarize(results, options_.weights);
     return results;
 }
 

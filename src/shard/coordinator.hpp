@@ -2,32 +2,13 @@
 // shard::Coordinator — scatters mapping work over serve workers and merges
 // the replies deterministically.
 //
-// Two sharding granularities (ShardMode):
-//
-//   * Rows — one mapping run at a time, with the swap sweep's O(|U|^2)
-//     candidate triangle scattered row by row: the coordinator owns the
-//     greedy sweep loop (commit best row candidate, re-base, continue),
-//     and each row's inner j-range is split into up to `alive` contiguous
-//     chunks that workers score with SwapSweepDriver::score_rows against
-//     the carried placed mapping. The merge scans chunk bests in ascending
-//     column order under the strict Score::better_than — exactly the
-//     serial sweep's lowest-index-first reduction — so the committed swap,
-//     and therefore the final mapping and every report byte, is identical
-//     to a single-node run at ANY worker count, reply order, or
-//     failure/retry interleaving. Rows shorter than one chunk ride a
-//     single multi-row task that early-stops at the first improving row
-//     (the tail of a pass costs one round-trip, not one per row).
-//     Requires mapper "nmap" with a path-independent eval (naive,
-//     incremental or ledger-exact; ledger-fast is rejected — its router
-//     state depends on the commit history a worker does not have).
-//
-//   * Scenarios — whole portfolio scenarios partitioned contiguously over
-//     workers, weighted by the core counts advertised in the hello
-//     handshake (engine::ThreadBudget::partition). Workers return raw
-//     hex-float metrics; the coordinator rebuilds ScenarioResults —
-//     identity fields from its own grid, metrics bit-exact from the wire —
-//     and scalarizes locally, so the JSON document equals a single-node
-//     `portfolio --json --json-stable` run byte for byte.
+// Whole portfolio scenarios are partitioned contiguously over workers,
+// weighted by the core counts advertised in the hello handshake
+// (engine::ThreadBudget::partition). Workers return raw hex-float metrics;
+// the coordinator rebuilds ScenarioResults — identity fields from its own
+// grid, metrics bit-exact from the wire — and scalarizes locally, so the
+// JSON document equals a single-node `portfolio --json --json-stable` run
+// byte for byte.
 //
 // Failure model: every exchange goes through a checked wrapper that (a)
 // rejects replies that are not protocol response lines (a garbling
@@ -35,15 +16,12 @@
 // through ShardOptions::reconnect_attempts bounded-backoff reconnects —
 // rebuild the socket, re-run the hello handshake, retry the idempotent
 // task — before marking the worker dead. Once dead, the task is
-// re-dispatched to a survivor (tasks are idempotent — rows tasks are pure
-// functions of the carried mapping, scenario tasks of the scenario).
+// re-dispatched to a survivor (a task is a pure function of its
+// scenarios, so re-running it is idempotent).
 // ShardOptions::max_attempts bounds those re-dispatches; when every worker
 // is dead the affected scenario carries a structured error, like any other
-// per-scenario failure. Deadlines: a Scenario::deadline_ms rides the wire
-// in scenarios mode (the worker's runner enforces it); in rows mode the
-// coordinator enforces it between dispatch rounds — never inside a row
-// task, where an early stop would change which candidates were scored and
-// break byte parity.
+// per-scenario failure. A Scenario::deadline_ms rides the wire and the
+// worker's runner enforces it.
 
 #include <atomic>
 #include <cstddef>
@@ -54,7 +32,6 @@
 
 #include "portfolio/runner.hpp"
 #include "portfolio/scenario.hpp"
-#include "portfolio/topology_cache.hpp"
 #include "shard/worker_link.hpp"
 
 namespace obs {
@@ -64,17 +41,7 @@ class Counter;
 
 namespace nocmap::shard {
 
-enum class ShardMode {
-    Rows,      ///< scatter swap-sweep rows within each mapping run
-    Scenarios, ///< scatter whole scenarios across workers
-};
-
 struct ShardOptions {
-    ShardMode mode = ShardMode::Rows;
-    /// Rows mode: minimum candidate swaps per dispatched chunk. Rows with
-    /// fewer than 2*min_chunk candidates are not worth splitting — they
-    /// join a multi-row early-stop task instead.
-    std::size_t min_chunk = 8;
     /// Dispatch attempts per task (first try plus retries on surviving
     /// workers after transport failures).
     std::size_t max_attempts = 3;
@@ -85,13 +52,9 @@ struct ShardOptions {
     /// Sleep before the first reconnect attempt, doubling on each further
     /// one (bounded exponential backoff).
     std::uint64_t reconnect_backoff_ms = 100;
-    /// Scalarization and energy settings of the rebuilt report — must
-    /// match the single-node run being reproduced (defaults match
-    /// PortfolioOptions defaults).
+    /// Scalarization weights of the rebuilt report — must match the
+    /// single-node run being reproduced (defaults match PortfolioOptions).
     portfolio::ScalarizationWeights weights;
-    noc::EnergyModel energy_model;
-    /// Coordinator-local TopologyCache bound (0 = unbounded).
-    std::size_t cache_topologies = 0;
     /// Optional metrics sink (not owned; must outlive the coordinator).
     /// When set, every worker gets nocmap_shard_{exchanges,retries,
     /// reconnects,timeouts}_total series labeled worker="<index>", plus a
@@ -115,7 +78,7 @@ public:
     /// Advertised core budget of worker `i` (1 when the handshake failed).
     std::size_t worker_cores(std::size_t i) const { return workers_.at(i).cores; }
 
-    /// Runs the grid sharded under options().mode. Results are in grid
+    /// Runs the grid sharded over the live workers. Results are in grid
     /// order with scalar scores filled in, byte-compatible (through
     /// portfolio::to_json with timings off) with PortfolioRunner::run on
     /// the same grid. Per-scenario failures land in ScenarioResult::error,
@@ -158,16 +121,8 @@ private:
     /// response parsers surface as a per-scenario error (never a throw).
     std::vector<std::string> dispatch_all(const std::vector<std::string>& lines);
 
-    portfolio::ScenarioResult rows_scenario(const portfolio::Scenario& scenario,
-                                            std::size_t index);
-    std::vector<portfolio::ScenarioResult> run_rows(
-        const std::vector<portfolio::Scenario>& grid);
-    std::vector<portfolio::ScenarioResult> run_scenarios(
-        const std::vector<portfolio::Scenario>& grid);
-
     ShardOptions options_;
     std::vector<Worker> workers_;
-    portfolio::TopologyCache cache_;
     /// Atomic: exchange_checked's re-hello runs on dispatch_all's worker
     /// threads.
     std::atomic<std::size_t> id_counter_{0};

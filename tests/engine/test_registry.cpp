@@ -176,7 +176,8 @@ TEST(MapApi, OutOfRangeAndIllTypedValuesAreRejectedPerSpec) {
     expect_code("nmap", "eval=warp-speed", MapErrorCode::ParamOutOfRange);
     expect_code("nmap", "threads=x", MapErrorCode::InvalidParamValue);
     expect_code("nmap-split", "approx_iterations=0", MapErrorCode::ParamOutOfRange);
-    expect_code("nmap-split", "exact_inner_lp=7", MapErrorCode::InvalidParamValue);
+    expect_code("nmap-split", "warm_start=7", MapErrorCode::InvalidParamValue);
+    expect_code("nmap-split", "mcf_engine=auto", MapErrorCode::ParamOutOfRange);
     expect_code("nmap-tm", "sweeps=-1", MapErrorCode::ParamOutOfRange);
     expect_code("pbb", "queue_capacity=-5", MapErrorCode::ParamOutOfRange);
     expect_code("pbb", "max_expansions=soon", MapErrorCode::InvalidParamValue);

@@ -137,7 +137,7 @@ TEST(Split, ExactInnerLpOnTinyInstance) {
     g.add_edge("b", "c", 40.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
     SplitOptions opt;
-    opt.exact_inner_lp = true;
+    opt.mcf_engine = McfEngine::Exact;
     const auto result = map_with_splitting(g, topo, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
@@ -260,27 +260,6 @@ TEST(Split, WarmStartExactOnConstrainedInstance) {
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
     expect_certified_polish(g, topo, opt, result);
-}
-
-TEST(Split, McfEngineOverridesLegacyKnob) {
-    // mcf_engine=Approx must win over exact_inner_lp=true and vice versa;
-    // both runs stay feasible on an ample mesh and agree after polish.
-    const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    SplitOptions a;
-    a.exact_inner_lp = true;
-    a.mcf_engine = McfEngine::Approx;
-    SplitOptions b;
-    b.exact_inner_lp = false;
-    b.mcf_engine = McfEngine::Exact;
-    const auto ra = map_with_splitting(g, topo, a);
-    const auto rb = map_with_splitting(g, topo, b);
-    EXPECT_TRUE(ra.feasible);
-    EXPECT_TRUE(rb.feasible);
-    // The Approx-engine run equals the pure-default (approx) run.
-    const auto default_run = map_with_splitting(g, topo);
-    EXPECT_EQ(ra.mapping, default_run.mapping);
-    EXPECT_EQ(ra.comm_cost, default_run.comm_cost);
 }
 
 TEST(Split, ReportsInfeasibleWhenTrulyImpossible) {

@@ -190,7 +190,7 @@ TEST(PortfolioRunner, ParamErrorsAreStructuredPerScenario) {
         EXPECT_NE(r.error.find("no_such_knob"), std::string::npos);
     }
     // The structured code lands in the JSON document (failed rows only).
-    const auto json = to_json(results, PortfolioRunner::rank_topologies(results), nullptr);
+    const auto json = to_json(results, PortfolioRunner::rank_topologies(results));
     EXPECT_NE(json.find("\"error_code\": \"unknown-param\""), std::string::npos);
 }
 
@@ -210,7 +210,7 @@ TEST(PortfolioReport, JsonContainsScenariosRankingAndCacheStats) {
     PortfolioRunner runner;
     const auto results = runner.run(grid);
     const auto ranking = PortfolioRunner::rank_topologies(results);
-    const auto json = to_json(results, ranking, &runner.cache());
+    const auto json = to_json(results, ranking, JsonOptions{&runner.cache()});
     EXPECT_NE(json.find("\"scenarios\""), std::string::npos);
     EXPECT_NE(json.find("\"ranking\""), std::string::npos);
     EXPECT_NE(json.find("\"topology_ranking\""), std::string::npos);

@@ -21,72 +21,6 @@ TEST(ShardProtocol, HelloRoundTrip) {
     EXPECT_EQ(parse_hello_response(hello_response("h1", 12)), 12u);
 }
 
-TEST(ShardProtocol, ShardRowsRequestRoundTripsBitExact) {
-    ShardRowsRequest task;
-    task.graph_text = graph::core_graph_to_string(apps::make_application("vopd"));
-    task.topology = "torus:4x4";
-    task.bandwidth = 0.1; // not exactly representable: %.17g must survive
-    task.tile_cores = {0, -1, 2, 3};
-    task.window.row_begin = 1;
-    task.window.row_end = 4;
-    task.window.col_begin = 2;
-    task.window.col_end = 0;
-    task.params.set("eval", engine::ParamValue::of_string("ledger-exact"));
-    task.params.set("threads", engine::ParamValue::of_int(2));
-
-    const Request parsed = parse_request(shard_rows_request("t1", task));
-    EXPECT_EQ(parsed.kind, Request::Kind::ShardRows);
-    EXPECT_EQ(parsed.id, "t1");
-    const ShardRowsRequest& got = parsed.shard_rows;
-    EXPECT_EQ(got.graph_text, task.graph_text);
-    EXPECT_EQ(got.topology, task.topology);
-    EXPECT_EQ(got.bandwidth, task.bandwidth); // exact, not near
-    EXPECT_EQ(got.tile_cores, task.tile_cores);
-    EXPECT_EQ(got.window.row_begin, task.window.row_begin);
-    EXPECT_EQ(got.window.row_end, task.window.row_end);
-    EXPECT_EQ(got.window.col_begin, task.window.col_begin);
-    EXPECT_EQ(got.window.col_end, task.window.col_end);
-    ASSERT_NE(got.params.find("eval"), nullptr);
-    EXPECT_EQ(got.params.find("eval")->as_string(), "ledger-exact");
-    ASSERT_NE(got.params.find("threads"), nullptr);
-    EXPECT_EQ(got.params.find("threads")->as_int(), 2);
-}
-
-TEST(ShardProtocol, ShardRowsResponseRoundTripsBitExact) {
-    engine::RowSliceOutcome slice;
-    slice.placed_score.primary = 4015.1234567890123; // full double precision
-    slice.placed_score.secondary = std::numeric_limits<double>::infinity();
-    slice.placed_score.feasible = true;
-    engine::RowBest improved;
-    improved.row = 3;
-    improved.improved = true;
-    improved.partner = 9;
-    improved.score.primary = 0.1 + 0.2; // classic non-decimal double
-    improved.score.secondary = std::numeric_limits<double>::infinity();
-    improved.score.feasible = true;
-    engine::RowBest flat;
-    flat.row = 4;
-    flat.improved = false;
-    slice.rows = {improved, flat};
-    slice.evaluations = 17;
-
-    const engine::RowSliceOutcome got =
-        parse_shard_rows_response(shard_rows_response("t1", slice));
-    EXPECT_EQ(got.placed_score.primary, slice.placed_score.primary);
-    EXPECT_EQ(got.placed_score.secondary, slice.placed_score.secondary);
-    EXPECT_EQ(got.placed_score.feasible, slice.placed_score.feasible);
-    ASSERT_EQ(got.rows.size(), 2u);
-    EXPECT_EQ(got.rows[0].row, 3u);
-    EXPECT_TRUE(got.rows[0].improved);
-    EXPECT_EQ(got.rows[0].partner, 9u);
-    EXPECT_EQ(got.rows[0].score.primary, improved.score.primary);
-    EXPECT_EQ(got.rows[0].score.secondary, improved.score.secondary);
-    EXPECT_TRUE(got.rows[0].score.feasible);
-    EXPECT_EQ(got.rows[1].row, 4u);
-    EXPECT_FALSE(got.rows[1].improved);
-    EXPECT_EQ(got.evaluations, 17u);
-}
-
 TEST(ShardProtocol, ShardMapRoundTripsBitExact) {
     ShardMapScenario scenario;
     scenario.app = "vopd";
@@ -143,18 +77,15 @@ TEST(ShardProtocol, ShardMapRoundTripsBitExact) {
 
 TEST(ShardProtocol, ErrorResponsesThrowWorkerError) {
     const std::string line = error_response("t9", "graph text is empty");
-    EXPECT_THROW(parse_shard_rows_response(line), std::runtime_error);
     EXPECT_THROW(parse_shard_map_response(line), std::runtime_error);
     EXPECT_THROW(parse_hello_response(line), std::runtime_error);
 }
 
 TEST(ShardProtocol, MalformedShardRequestsAreRejected) {
     // Missing graph text.
-    EXPECT_THROW(
-        parse_request(R"({"id":"x","method":"shard-rows","topology":"mesh:2x2",)"
-                      R"("bandwidth":1,"mapping":[0],"row_begin":0,"row_end":1,)"
-                      R"("col_begin":0,"col_end":0})"),
-        std::invalid_argument);
+    EXPECT_THROW(parse_request(R"({"id":"x","method":"shard-map","scenarios":)"
+                               R"([{"topology":"mesh:2x2","bandwidth":1}]})"),
+                 std::invalid_argument);
     // Scenarios must be an array of objects.
     EXPECT_THROW(parse_request(R"({"id":"x","method":"shard-map","scenarios":3})"),
                  std::invalid_argument);

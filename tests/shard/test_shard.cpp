@@ -1,7 +1,7 @@
 // Shard determinism: the coordinator's merged report must be byte-identical
 // to a single-node PortfolioRunner run — at any worker count, under
-// shuffled reply timing, and across mid-sweep worker deaths (tasks are
-// idempotent, so a retry on a survivor reproduces the same bytes).
+// shuffled reply timing, and across worker deaths (tasks are idempotent,
+// so a retry on a survivor reproduces the same bytes).
 #include "shard/coordinator.hpp"
 
 #include <gtest/gtest.h>
@@ -93,47 +93,35 @@ private:
     std::size_t remaining_;
 };
 
-TEST(Shard, RowsParityAcrossWorkerCounts) {
-    const auto grid = test_grid();
-    const std::string expected = single_node_json(grid);
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-        ShardOptions options;
-        options.mode = ShardMode::Rows;
-        Coordinator coordinator(in_process_links(workers), options);
-        EXPECT_EQ(sharded_json(coordinator, grid), expected)
-            << workers << " rows-mode workers";
-    }
-}
-
 TEST(Shard, ScenariosParityAcrossWorkerCounts) {
     const auto grid = test_grid();
     const std::string expected = single_node_json(grid);
     for (const std::size_t workers : {1u, 2u, 4u}) {
-        ShardOptions options;
-        options.mode = ShardMode::Scenarios;
-        Coordinator coordinator(in_process_links(workers), options);
-        EXPECT_EQ(sharded_json(coordinator, grid), expected)
-            << workers << " scenarios-mode workers";
+        Coordinator coordinator(in_process_links(workers), ShardOptions{});
+        EXPECT_EQ(sharded_json(coordinator, grid), expected) << workers << " workers";
     }
 }
 
-TEST(Shard, RowsParityWithMultiSweepParams) {
+TEST(Shard, ScenariosParityWithMultiSweepParams) {
+    // Non-default knobs must ride the shard-map wire unchanged: a dropped
+    // or re-typed param would map differently and move the bytes.
     engine::Params params;
     params.set("sweeps", engine::ParamValue::of_int(3));
     params.set("eval", engine::ParamValue::of_string("incremental"));
     const auto grid = test_grid(params);
     const std::string expected = single_node_json(grid);
-    ShardOptions options;
-    options.mode = ShardMode::Rows;
-    Coordinator coordinator(in_process_links(3), options);
+    ASSERT_NE(expected, single_node_json(test_grid()))
+        << "the params must change the report (sweeps=3 improves mpeg4 on mesh), "
+           "or parity proves nothing";
+    Coordinator coordinator(in_process_links(3), ShardOptions{});
     EXPECT_EQ(sharded_json(coordinator, grid), expected);
 }
 
-TEST(Shard, RowsParityUnderShuffledReplyTiming) {
+TEST(Shard, ScenariosParityUnderShuffledReplyTiming) {
     const auto grid = test_grid();
     const std::string expected = single_node_json(grid);
-    // Wildly uneven per-worker latency: slot-indexed replies and the
-    // ascending merge make completion order irrelevant.
+    // Wildly uneven per-worker latency: slot-indexed replies make
+    // completion order irrelevant.
     std::vector<std::unique_ptr<WorkerLink>> links;
     links.push_back(std::make_unique<DelayLink>(in_process_worker(),
                                                 std::chrono::microseconds(900)));
@@ -141,27 +129,30 @@ TEST(Shard, RowsParityUnderShuffledReplyTiming) {
         std::make_unique<DelayLink>(in_process_worker(), std::chrono::microseconds(0)));
     links.push_back(std::make_unique<DelayLink>(in_process_worker(),
                                                 std::chrono::microseconds(300)));
-    ShardOptions options;
-    options.mode = ShardMode::Rows;
-    Coordinator coordinator(std::move(links), options);
-    EXPECT_EQ(sharded_json(coordinator, grid), expected);
+    Coordinator coordinator(std::move(links), ShardOptions{});
+    // Several grids on one coordinator: each run re-dispatches over the
+    // same links, and none may drift from the single-node bytes.
+    for (int run = 0; run < 3; ++run) EXPECT_EQ(sharded_json(coordinator, grid), expected);
 }
 
-TEST(Shard, RowsParityAcrossMidSweepWorkerDeath) {
+TEST(Shard, ScenariosParityAcrossWorkerDeathBetweenGrids) {
     const auto grid = test_grid();
     const std::string expected = single_node_json(grid);
-    // One worker dies after a handful of tasks mid-sweep; its in-flight
-    // task is reassigned to a survivor and the merged bytes must not move.
+    // One worker serves the hello and two grids' tasks, then dies on the
+    // third grid; its task is reassigned to a survivor, the merged bytes
+    // must not move, and later grids run on the two survivors.
     std::vector<std::unique_ptr<WorkerLink>> links;
-    links.push_back(std::make_unique<FlakyLink>(in_process_worker(), 5));
+    links.push_back(std::make_unique<FlakyLink>(in_process_worker(), 3));
     links.push_back(in_process_worker());
     links.push_back(in_process_worker());
-    ShardOptions options;
-    options.mode = ShardMode::Rows;
-    Coordinator coordinator(std::move(links), options);
-    EXPECT_EQ(coordinator.alive_count(), 3u);
+    Coordinator coordinator(std::move(links), ShardOptions{});
+    for (int run = 0; run < 2; ++run) {
+        EXPECT_EQ(sharded_json(coordinator, grid), expected);
+        EXPECT_EQ(coordinator.alive_count(), 3u);
+    }
     EXPECT_EQ(sharded_json(coordinator, grid), expected);
     EXPECT_EQ(coordinator.alive_count(), 2u) << "the flaky worker should be marked dead";
+    EXPECT_EQ(sharded_json(coordinator, grid), expected);
 }
 
 TEST(Shard, ScenariosParityAcrossWorkerDeath) {
@@ -170,27 +161,25 @@ TEST(Shard, ScenariosParityAcrossWorkerDeath) {
     std::vector<std::unique_ptr<WorkerLink>> links;
     links.push_back(std::make_unique<FlakyLink>(in_process_worker(), 1)); // hello only
     links.push_back(in_process_worker());
-    ShardOptions options;
-    options.mode = ShardMode::Scenarios;
-    Coordinator coordinator(std::move(links), options);
+    Coordinator coordinator(std::move(links), ShardOptions{});
     EXPECT_EQ(sharded_json(coordinator, grid), expected);
     EXPECT_EQ(coordinator.alive_count(), 1u);
 }
 
 TEST(Shard, DeadClusterYieldsPerScenarioErrorsNotThrows) {
     const auto grid = test_grid();
-    for (const ShardMode mode : {ShardMode::Rows, ShardMode::Scenarios}) {
-        std::vector<std::unique_ptr<WorkerLink>> links;
-        links.push_back(std::make_unique<FlakyLink>(in_process_worker(), 1)); // hello only
-        ShardOptions options;
-        options.mode = mode;
-        Coordinator coordinator(std::move(links), options);
+    std::vector<std::unique_ptr<WorkerLink>> links;
+    links.push_back(std::make_unique<FlakyLink>(in_process_worker(), 1)); // hello only
+    Coordinator coordinator(std::move(links), ShardOptions{});
+    // The first grid kills the worker; the second starts with none alive.
+    for (int run = 0; run < 2; ++run) {
         const auto results = coordinator.run_grid(grid);
         ASSERT_EQ(results.size(), grid.size());
         for (const auto& r : results) {
-            EXPECT_FALSE(r.ok);
-            EXPECT_FALSE(r.error.empty());
+            EXPECT_FALSE(r.ok) << "run " << run;
+            EXPECT_FALSE(r.error.empty()) << "run " << run;
         }
+        EXPECT_EQ(coordinator.alive_count(), 0u);
     }
 }
 
@@ -198,20 +187,6 @@ TEST(Shard, HandshakeFailureOfEveryWorkerThrows) {
     std::vector<std::unique_ptr<WorkerLink>> links;
     links.push_back(std::make_unique<FlakyLink>(in_process_worker(), 0));
     EXPECT_THROW(Coordinator(std::move(links), ShardOptions{}), std::runtime_error);
-}
-
-TEST(Shard, RowsModeRejectsPathDependentEval) {
-    engine::Params params;
-    params.set("eval", engine::ParamValue::of_string("ledger-fast"));
-    const auto grid = test_grid(params);
-    ShardOptions options;
-    options.mode = ShardMode::Rows;
-    Coordinator coordinator(in_process_links(2), options);
-    const auto results = coordinator.run_grid(grid);
-    for (const auto& r : results) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_NE(r.error.find("ledger-fast"), std::string::npos);
-    }
 }
 
 TEST(Shard, WeightedPartitionFollowsAdvertisedCores) {
