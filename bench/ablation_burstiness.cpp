@@ -32,9 +32,10 @@ struct Design {
 
     Design() {
         const auto g = apps::make_application("dsp");
-        const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
         const auto d = noc::build_commodities(g, mapping);
-        const auto routed = nmap::route_single_min_paths(topo, d);
+        const auto routed = nmap::route_single_min_paths(ctx, d);
         minp = sim::make_single_path_flows(topo, d, routed.routes);
         lp::McfOptions mcf;
         mcf.objective = lp::McfObjective::MinMaxLoad;

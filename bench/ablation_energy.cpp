@@ -36,13 +36,14 @@ void print_reproduction() {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = bench::ample_mesh_for(g);
-        const auto pmap = baselines::pmap_map(g, topo);
-        const auto gmap = baselines::gmap_map(g, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto pmap = baselines::pmap_map(g, ctx);
+        const auto gmap = baselines::gmap_map(g, ctx);
         baselines::PbbOptions pbb_opt;
-        const auto pbb = baselines::pbb_map(g, topo, pbb_opt);
-        const auto nm = nmap::map_with_single_path(g, topo);
+        const auto pbb = baselines::pbb_map(g, ctx, pbb_opt);
+        const auto nm = nmap::map_with_single_path(g, ctx);
         baselines::AnnealingOptions sa_opt;
-        const auto sa = baselines::annealing_map(g, topo, sa_opt);
+        const auto sa = baselines::annealing_map(g, ctx, sa_opt);
 
         // Split routing pays extra traversals when it detours (TA): charge
         // the actual fractional flows.
@@ -65,10 +66,10 @@ void print_reproduction() {
 
 void BM_AnnealingMapper(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
     baselines::AnnealingOptions opt;
     for (auto _ : state)
-        benchmark::DoNotOptimize(baselines::annealing_map(g, topo, opt).comm_cost);
+        benchmark::DoNotOptimize(baselines::annealing_map(g, ctx, opt).comm_cost);
 }
 
 } // namespace

@@ -63,10 +63,11 @@ RegimeResult simulate(const noc::Topology& base, const std::vector<sim::FlowSpec
 void print_reproduction() {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, bench::kAmpleCapacity);
-    const auto mapped = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapped = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, mapped.mapping);
 
-    const auto routed = nmap::route_single_min_paths(topo, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     const auto minp = sim::make_single_path_flows(topo, d, routed.routes);
 
     lp::McfOptions tm;
@@ -103,9 +104,10 @@ void print_reproduction() {
 void BM_JitterSim(benchmark::State& state) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, bench::kAmpleCapacity);
-    const auto mapped = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapped = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, mapped.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     const auto flows = sim::make_single_path_flows(topo, d, routed.routes);
     for (auto _ : state) benchmark::DoNotOptimize(simulate(topo, flows, 1.4).latency);
 }

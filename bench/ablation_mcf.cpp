@@ -62,7 +62,8 @@ void print_reproduction() {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = bench::ample_mesh_for(g);
-        const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+        const auto mapping =
+            nmap::map_with_single_path(g, noc::EvalContext::borrow(topo)).mapping;
         const auto d = noc::build_commodities(g, mapping);
 
         lp::McfOptions exact;
@@ -214,22 +215,16 @@ bool chain_parity(const Workload& w,
     return ok;
 }
 
-/// Default-parameter byte parity: the context overload and the topology
-/// overload of map_with_splitting must produce identical mappings and costs,
-/// deterministically across repeated runs (the bit-identity acceptance).
+/// Default-parameter byte stability: repeated map_with_splitting runs must
+/// produce identical mappings and costs (the bit-identity acceptance).
 bool mapper_byte_parity() {
     const auto g = apps::make_application("vopd");
-    const auto topo = bench::ample_mesh_for(g);
-    const noc::EvalContext ctx = noc::EvalContext::borrow(topo);
-    const auto first = nmap::map_with_splitting(g, topo);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
+    const auto first = nmap::map_with_splitting(g, ctx);
     for (int i = 0; i < 2; ++i) {
-        const auto via_topo = nmap::map_with_splitting(g, topo);
-        const auto via_ctx = nmap::map_with_splitting(g, ctx);
-        if (via_topo.mapping != first.mapping || via_ctx.mapping != first.mapping ||
-            via_topo.comm_cost != first.comm_cost ||
-            via_ctx.comm_cost != first.comm_cost) {
-            std::cerr << "default-parameter split mapping not byte-stable across "
-                         "context/topology overloads\n";
+        const auto again = nmap::map_with_splitting(g, ctx);
+        if (again.mapping != first.mapping || again.comm_cost != first.comm_cost) {
+            std::cerr << "default-parameter split mapping not byte-stable across runs\n";
             return false;
         }
     }
@@ -360,7 +355,7 @@ int run_chain_report(bool smoke) {
 void BM_ExactMcf(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
     const auto topo = bench::ample_mesh_for(g);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const auto mapping = nmap::map_with_single_path(g, noc::EvalContext::borrow(topo)).mapping;
     const auto d = noc::build_commodities(g, mapping);
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;
@@ -370,7 +365,7 @@ void BM_ExactMcf(benchmark::State& state, const char* app) {
 void BM_ApproxMcf(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
     const auto topo = bench::ample_mesh_for(g);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const auto mapping = nmap::map_with_single_path(g, noc::EvalContext::borrow(topo)).mapping;
     const auto d = noc::build_commodities(g, mapping);
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;

@@ -33,9 +33,10 @@ struct Resilience {
 
 Resilience evaluate(const graph::CoreGraph& g) {
     const auto base = bench::ample_mesh_for(g);
-    const auto result = nmap::map_with_single_path(g, base);
+    const auto ctx = noc::EvalContext::borrow(base);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(base, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     // Budget: the single-path design's provisioned uniform bandwidth plus
     // the usual engineering margin (links are sized with headroom).
     const double budget = routed.max_load * 1.10;

@@ -28,22 +28,23 @@ void print_reproduction() {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = bench::ample_mesh_for(g);
+        const auto ctx = noc::EvalContext::borrow(topo);
         const double init_cost =
             bench::mapping_cost(g, topo, nmap::initial_mapping(g, topo));
         nmap::SinglePathOptions one;
         one.max_sweeps = 1;
-        const double sweep1 = nmap::map_with_single_path(g, topo, one).comm_cost;
+        const double sweep1 = nmap::map_with_single_path(g, ctx, one).comm_cost;
         nmap::SinglePathOptions three;
         three.max_sweeps = 3;
-        const double sweep3 = nmap::map_with_single_path(g, topo, three).comm_cost;
+        const double sweep3 = nmap::map_with_single_path(g, ctx, three).comm_cost;
 
         // Torus fabric of the same tile count (>= 3x3 required).
         double torus_cost = 0.0;
         {
             const std::int32_t w = std::max<std::int32_t>(3, topo.width());
             const std::int32_t h = std::max<std::int32_t>(3, topo.height());
-            const auto torus = noc::Topology::torus(w, h, bench::kAmpleCapacity);
-            torus_cost = nmap::map_with_single_path(g, torus, one).comm_cost;
+            const noc::EvalContext torus_ctx(noc::Topology::torus(w, h, bench::kAmpleCapacity));
+            torus_cost = nmap::map_with_single_path(g, torus_ctx, one).comm_cost;
         }
 
         table.add_row({info.name, util::Table::num(init_cost, 0),
@@ -67,11 +68,11 @@ void BM_InitializeOnly(benchmark::State& state, const char* app) {
 
 void BM_SwapSweep(benchmark::State& state, const char* app, int sweeps) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
     nmap::SinglePathOptions opt;
     opt.max_sweeps = static_cast<std::size_t>(sweeps);
     for (auto _ : state)
-        benchmark::DoNotOptimize(nmap::map_with_single_path(g, topo, opt).comm_cost);
+        benchmark::DoNotOptimize(nmap::map_with_single_path(g, ctx, opt).comm_cost);
 }
 
 } // namespace

@@ -30,8 +30,8 @@ double dimension_ordered_bandwidth(const graph::CoreGraph& graph, const noc::Top
 
 double min_path_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
                           const noc::Mapping& mapping) {
-    const auto routed =
-        nmap::route_single_min_paths(topo, noc::build_commodities(graph, mapping));
+    const auto routed = nmap::route_single_min_paths(noc::EvalContext::borrow(topo),
+                                                     noc::build_commodities(graph, mapping));
     return routed.max_load;
 }
 
@@ -51,7 +51,7 @@ double best_split_bandwidth(const graph::CoreGraph& graph, const noc::Topology& 
     nmap::SplitOptions opt;
     opt.mode = quadrant ? nmap::SplitMode::MinPaths : nmap::SplitMode::AllPaths;
     opt.optimize_bandwidth = true;
-    const auto searched = nmap::map_with_splitting(graph, topo, opt);
+    const auto searched = nmap::map_with_splitting(graph, noc::EvalContext::borrow(topo), opt);
     return std::min(rerouted, noc::max_load(searched.loads));
 }
 
@@ -61,13 +61,13 @@ std::vector<Fig3Row> run_fig3_costs() {
     std::vector<Fig3Row> rows;
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
-        const auto topo = ample_mesh_for(g);
+        const noc::EvalContext ctx(ample_mesh_for(g));
         Fig3Row row;
         row.app = info.name;
-        row.pmap = engine::map_by_name("pmap", g, topo).comm_cost;
-        row.gmap = engine::map_by_name("gmap", g, topo).comm_cost;
-        row.pbb = engine::map_by_name("pbb", g, topo).comm_cost;
-        row.nmap = engine::map_by_name("nmap", g, topo).comm_cost;
+        row.pmap = engine::map_by_name("pmap", g, ctx).comm_cost;
+        row.gmap = engine::map_by_name("gmap", g, ctx).comm_cost;
+        row.pbb = engine::map_by_name("pbb", g, ctx).comm_cost;
+        row.nmap = engine::map_by_name("nmap", g, ctx).comm_cost;
         rows.push_back(row);
     }
     return rows;

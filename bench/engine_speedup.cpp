@@ -43,12 +43,12 @@ nmap::SinglePathOptions mode_options(nmap::SweepEval eval, std::size_t threads) 
     return opt;
 }
 
-double time_mapping_ms(const graph::CoreGraph& g, const noc::Topology& topo,
+double time_mapping_ms(const graph::CoreGraph& g, const noc::EvalContext& ctx,
                        const nmap::SinglePathOptions& opt, std::size_t repeats) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < repeats; ++r) {
         const auto start = std::chrono::steady_clock::now();
-        const auto result = nmap::map_with_single_path(g, topo, opt);
+        const auto result = nmap::map_with_single_path(g, ctx, opt);
         const auto stop = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(result.comm_cost);
         best = std::min(best,
@@ -72,14 +72,14 @@ void print_reproduction() {
                       "incr speedup", "par speedup"});
     std::vector<std::vector<std::string>> csv;
     for (const Workload& w : workloads) {
-        const auto topo = bench::ample_mesh_for(w.graph);
+        const noc::EvalContext ctx(bench::ample_mesh_for(w.graph));
         const std::size_t repeats = w.graph.node_count() >= 64 ? 1 : 3;
         const double naive_ms =
-            time_mapping_ms(w.graph, topo, mode_options(nmap::SweepEval::Naive, 1), repeats);
+            time_mapping_ms(w.graph, ctx, mode_options(nmap::SweepEval::Naive, 1), repeats);
         const double incr_ms = time_mapping_ms(
-            w.graph, topo, mode_options(nmap::SweepEval::Incremental, 1), repeats);
+            w.graph, ctx, mode_options(nmap::SweepEval::Incremental, 1), repeats);
         const double par_ms = time_mapping_ms(
-            w.graph, topo, mode_options(nmap::SweepEval::Incremental, 0), repeats);
+            w.graph, ctx, mode_options(nmap::SweepEval::Incremental, 0), repeats);
         const double incr_speedup = naive_ms / incr_ms;
         const double par_speedup = naive_ms / par_ms;
         table.add_row({w.name, util::Table::num(static_cast<long long>(w.graph.node_count())),
@@ -102,10 +102,10 @@ void print_reproduction() {
 
 void bm_sweep(benchmark::State& state, nmap::SweepEval eval, std::size_t threads) {
     const auto g = make_random64();
-    const auto topo = bench::ample_mesh_for(g);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
     const auto opt = mode_options(eval, threads);
     for (auto _ : state) {
-        const auto result = nmap::map_with_single_path(g, topo, opt);
+        const auto result = nmap::map_with_single_path(g, ctx, opt);
         benchmark::DoNotOptimize(result.comm_cost);
     }
 }

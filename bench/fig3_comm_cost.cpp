@@ -36,29 +36,29 @@ void print_reproduction() {
 
 void BM_Pmap(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
-    for (auto _ : state) benchmark::DoNotOptimize(baselines::pmap_map(g, topo).comm_cost);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
+    for (auto _ : state) benchmark::DoNotOptimize(baselines::pmap_map(g, ctx).comm_cost);
 }
 
 void BM_Gmap(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
-    for (auto _ : state) benchmark::DoNotOptimize(baselines::gmap_map(g, topo).comm_cost);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
+    for (auto _ : state) benchmark::DoNotOptimize(baselines::gmap_map(g, ctx).comm_cost);
 }
 
 void BM_Pbb(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
     baselines::PbbOptions opt;
     for (auto _ : state)
-        benchmark::DoNotOptimize(baselines::pbb_map(g, topo, opt).comm_cost);
+        benchmark::DoNotOptimize(baselines::pbb_map(g, ctx, opt).comm_cost);
 }
 
 void BM_NmapSinglePath(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
     for (auto _ : state)
-        benchmark::DoNotOptimize(nmap::map_with_single_path(g, topo).comm_cost);
+        benchmark::DoNotOptimize(nmap::map_with_single_path(g, ctx).comm_cost);
 }
 
 } // namespace

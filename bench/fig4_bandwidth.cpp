@@ -31,9 +31,10 @@ void print_reproduction() {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = bench::ample_mesh_for(g);
-        const auto pmap = baselines::pmap_map(g, topo);
-        const auto gmap = baselines::gmap_map(g, topo);
-        const auto nmap_result = nmap::map_with_single_path(g, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto pmap = baselines::pmap_map(g, ctx);
+        const auto gmap = baselines::gmap_map(g, ctx);
+        const auto nmap_result = nmap::map_with_single_path(g, ctx);
 
         const double dpmap = bench::dimension_ordered_bandwidth(g, topo, pmap.mapping);
         const double dgmap = bench::dimension_ordered_bandwidth(g, topo, gmap.mapping);
@@ -61,7 +62,8 @@ void print_reproduction() {
 void BM_SplitBandwidthExactLp(benchmark::State& state, const char* app, bool quadrant) {
     const auto g = apps::make_application(app);
     const auto topo = bench::ample_mesh_for(g);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     for (auto _ : state)
         benchmark::DoNotOptimize(bench::split_bandwidth(g, topo, result.mapping, quadrant));
 }

@@ -33,9 +33,10 @@ struct DspDesign {
     std::vector<sim::FlowSpec> split_flows;
 
     DspDesign() {
-        mapping = nmap::map_with_single_path(graph, topo).mapping;
+        const auto ctx = noc::EvalContext::borrow(topo);
+        mapping = nmap::map_with_single_path(graph, ctx).mapping;
         commodities = noc::build_commodities(graph, mapping);
-        const auto routed = nmap::route_single_min_paths(topo, commodities);
+        const auto routed = nmap::route_single_min_paths(ctx, commodities);
         single_flows = sim::make_single_path_flows(topo, commodities, routed.routes);
         lp::McfOptions mcf;
         mcf.objective = lp::McfObjective::MinMaxLoad;

@@ -63,7 +63,8 @@ Workload make_workload(std::size_t cores, std::uint64_t seed) {
     w.initial = nmap::initial_mapping(w.graph, w.topo);
     // Tight enough that feasibility genuinely constrains the search, loose
     // enough that most candidates stay feasible (the sweep's regime).
-    const double peak = noc::max_load(nmap::evaluate_mapping(w.graph, w.topo, w.initial).loads);
+    const double peak = noc::max_load(
+        nmap::evaluate_mapping(w.graph, noc::EvalContext::borrow(w.topo), w.initial).loads);
     w.topo.set_uniform_capacity(peak * 1.1);
     return w;
 }
@@ -95,6 +96,7 @@ struct ThroughputResult {
 
 ThroughputResult measure_one_throughput(const Workload& w, std::size_t checks) {
     ThroughputResult r;
+    const auto ctx = noc::EvalContext::borrow(w.topo);
     const auto swaps = swap_stream(w, checks);
 
     // Full re-route per check (the pre-ledger path). Improving feasible
@@ -104,11 +106,11 @@ ThroughputResult measure_one_throughput(const Workload& w, std::size_t checks) {
     full_verdicts.reserve(checks);
     {
         noc::Mapping base = w.initial;
-        double base_cost = nmap::evaluate_mapping(w.graph, w.topo, base).cost;
+        double base_cost = nmap::evaluate_mapping(w.graph, ctx, base).cost;
         const auto start = Clock::now();
         for (const auto& [a, b] : swaps) {
             base.swap_tiles(a, b);
-            const auto routed = nmap::evaluate_mapping(w.graph, w.topo, base);
+            const auto routed = nmap::evaluate_mapping(w.graph, ctx, base);
             benchmark::DoNotOptimize(routed.feasible);
             full_verdicts.push_back(routed.feasible ? 1 : 0);
             if (routed.feasible && routed.cost < base_cost)
@@ -123,7 +125,7 @@ ThroughputResult measure_one_throughput(const Workload& w, std::size_t checks) {
                                 std::vector<char>& verdicts) {
         engine::RerouteOptions options;
         options.mode = mode;
-        engine::IncrementalRouter router(w.graph, w.topo, w.initial, options);
+        engine::IncrementalRouter router(w.graph, ctx, w.initial, options);
         const auto start = Clock::now();
         for (const auto& [a, b] : swaps) {
             const auto eval = router.reroute_swap(a, b);
@@ -171,6 +173,7 @@ struct EndToEndResult {
 
 EndToEndResult measure_end_to_end(const Workload& w, std::size_t repeats) {
     EndToEndResult r;
+    const auto ctx = noc::EvalContext::borrow(w.topo);
     const auto run = [&](nmap::SweepEval eval, double& out_ms) {
         nmap::SinglePathOptions opt;
         opt.eval = eval;
@@ -178,7 +181,7 @@ EndToEndResult measure_end_to_end(const Workload& w, std::size_t repeats) {
         nmap::MappingResult result;
         for (std::size_t i = 0; i < repeats; ++i) {
             const auto start = Clock::now();
-            result = nmap::map_with_single_path(w.graph, w.topo, opt);
+            result = nmap::map_with_single_path(w.graph, ctx, opt);
             best = std::min(best, ms_since(start));
         }
         out_ms = best;
@@ -256,9 +259,10 @@ int run_report(bool smoke) {
 
 void bm_recheck(benchmark::State& state, engine::RerouteMode mode) {
     const Workload w = make_workload(64, 64);
+    const auto ctx = noc::EvalContext::borrow(w.topo);
     engine::RerouteOptions options;
     options.mode = mode;
-    engine::IncrementalRouter router(w.graph, w.topo, w.initial, options);
+    engine::IncrementalRouter router(w.graph, ctx, w.initial, options);
     const auto swaps = swap_stream(w, 256);
     std::size_t i = 0;
     for (auto _ : state) {
@@ -271,12 +275,13 @@ void bm_recheck(benchmark::State& state, engine::RerouteMode mode) {
 
 void bm_recheck_full(benchmark::State& state) {
     const Workload w = make_workload(64, 64);
+    const auto ctx = noc::EvalContext::borrow(w.topo);
     const auto swaps = swap_stream(w, 256);
     noc::Mapping base = w.initial;
     std::size_t i = 0;
     for (auto _ : state) {
         base.swap_tiles(swaps[i].first, swaps[i].second);
-        const auto routed = nmap::evaluate_mapping(w.graph, w.topo, base);
+        const auto routed = nmap::evaluate_mapping(w.graph, ctx, base);
         benchmark::DoNotOptimize(routed.feasible);
         base.swap_tiles(swaps[i].first, swaps[i].second);
         i = (i + 1) % swaps.size();

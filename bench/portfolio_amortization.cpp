@@ -43,7 +43,8 @@ double run_cold(const std::vector<portfolio::Scenario>& grid) {
     double total_cost = 0.0;
     for (const portfolio::Scenario& s : grid) {
         const auto topo = s.topology.build(s.graph->node_count());
-        const auto result = engine::map_by_name(s.mapper, *s.graph, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto result = engine::map_by_name(s.mapper, *s.graph, ctx);
         total_cost += result.feasible ? result.comm_cost : 0.0;
     }
     return total_cost;

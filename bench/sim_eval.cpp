@@ -49,7 +49,7 @@ Workload make_workload(const std::string& app) {
     Workload w{app, apps::load_graph_or_application(app),
                noc::Topology::mesh(1, 1, 1.0), engine::MappingResult{}};
     w.topo = bench::ample_mesh_for(w.graph);
-    w.mapped = nmap::map_with_single_path(w.graph, w.topo);
+    w.mapped = nmap::map_with_single_path(w.graph, noc::EvalContext::borrow(w.topo));
     return w;
 }
 

@@ -31,11 +31,12 @@ void print_reproduction() {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = bench::ample_mesh_for(g);
-        const auto pmap = baselines::pmap_map(g, topo);
-        const auto gmap = baselines::gmap_map(g, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto pmap = baselines::pmap_map(g, ctx);
+        const auto gmap = baselines::gmap_map(g, ctx);
         baselines::PbbOptions pbb_opt;
-        const auto pbb = baselines::pbb_map(g, topo, pbb_opt);
-        const auto nm = nmap::map_with_single_path(g, topo);
+        const auto pbb = baselines::pbb_map(g, ctx, pbb_opt);
+        const auto nm = nmap::map_with_single_path(g, ctx);
 
         const double cstr = (pmap.comm_cost + gmap.comm_cost + pbb.comm_cost) /
                             (3.0 * nm.comm_cost);
@@ -62,8 +63,9 @@ void print_reproduction() {
 void BM_FullTable1Pipeline(benchmark::State& state) {
     const auto g = apps::make_application("pip");
     const auto topo = bench::ample_mesh_for(g);
+    const auto ctx = noc::EvalContext::borrow(topo);
     for (auto _ : state) {
-        const auto nm = nmap::map_with_single_path(g, topo);
+        const auto nm = nmap::map_with_single_path(g, ctx);
         benchmark::DoNotOptimize(bench::split_bandwidth(g, topo, nm.mapping, false));
     }
 }

@@ -44,9 +44,9 @@ void print_reproduction() {
     std::vector<std::vector<std::string>> csv;
     for (const std::size_t cores : {25u, 35u, 45u, 55u, 65u}) {
         const auto g = make_graph(cores, cores); // seed = size: deterministic
-        const auto topo = noc::Topology::smallest_mesh_for(cores, bench::kAmpleCapacity);
-        const auto pbb = baselines::pbb_map(g, topo, pbb_options());
-        const auto nm = nmap::map_with_single_path(g, topo);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(cores, bench::kAmpleCapacity));
+        const auto pbb = baselines::pbb_map(g, ctx, pbb_options());
+        const auto nm = nmap::map_with_single_path(g, ctx);
         const double ratio = pbb.comm_cost / nm.comm_cost;
         table.add_row({util::Table::num(static_cast<long long>(cores)),
                        util::Table::num(pbb.comm_cost, 0), util::Table::num(nm.comm_cost, 0),
@@ -63,9 +63,9 @@ void print_reproduction() {
 void BM_NmapScaling(benchmark::State& state) {
     const auto cores = static_cast<std::size_t>(state.range(0));
     const auto g = make_graph(cores, cores);
-    const auto topo = noc::Topology::smallest_mesh_for(cores, bench::kAmpleCapacity);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(cores, bench::kAmpleCapacity));
     for (auto _ : state)
-        benchmark::DoNotOptimize(nmap::map_with_single_path(g, topo).comm_cost);
+        benchmark::DoNotOptimize(nmap::map_with_single_path(g, ctx).comm_cost);
     state.SetComplexityN(static_cast<benchmark::IterationCount>(cores));
 }
 BENCHMARK(BM_NmapScaling)->Arg(25)->Arg(35)->Arg(45)->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -73,9 +73,9 @@ BENCHMARK(BM_NmapScaling)->Arg(25)->Arg(35)->Arg(45)->Unit(benchmark::kMilliseco
 void BM_PbbScaling(benchmark::State& state) {
     const auto cores = static_cast<std::size_t>(state.range(0));
     const auto g = make_graph(cores, cores);
-    const auto topo = noc::Topology::smallest_mesh_for(cores, bench::kAmpleCapacity);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(cores, bench::kAmpleCapacity));
     for (auto _ : state)
-        benchmark::DoNotOptimize(baselines::pbb_map(g, topo, pbb_options()).comm_cost);
+        benchmark::DoNotOptimize(baselines::pbb_map(g, ctx, pbb_options()).comm_cost);
 }
 BENCHMARK(BM_PbbScaling)->Arg(25)->Arg(45)->Unit(benchmark::kMillisecond)->Iterations(1);
 

@@ -33,7 +33,8 @@ using namespace nocmap;
 void print_reproduction() {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, bench::kAmpleCapacity);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
 
     const double minp_bw = bench::min_path_bandwidth(g, topo, result.mapping);
     // Table 3's "split BW" is the per-link bandwidth reservation of the
@@ -53,7 +54,7 @@ void print_reproduction() {
     {
         nmap::SplitOptions opt;
         opt.optimize_bandwidth = true;
-        const auto bw_mapping = nmap::map_with_splitting(g, topo, opt).mapping;
+        const auto bw_mapping = nmap::map_with_splitting(g, ctx, opt).mapping;
         const auto d2 = noc::build_commodities(g, bw_mapping);
         const noc::Commodity h2 = *std::max_element(
             d2.begin(), d2.end(),
@@ -77,7 +78,7 @@ void print_reproduction() {
 
     // The generated netlist of the design (Figure 5(b) counterpart).
     const auto commodities = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     const auto flows = sim::make_single_path_flows(topo, commodities, routed.routes);
     sim::NetlistConfig ncfg;
     ncfg.design_name = "dsp_filter_noc";
@@ -96,8 +97,9 @@ void print_reproduction() {
 void BM_DspDesignFlow(benchmark::State& state) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, bench::kAmpleCapacity);
+    const auto ctx = noc::EvalContext::borrow(topo);
     for (auto _ : state) {
-        const auto result = nmap::map_with_single_path(g, topo);
+        const auto result = nmap::map_with_single_path(g, ctx);
         benchmark::DoNotOptimize(bench::split_bandwidth(g, topo, result.mapping, false));
     }
 }

@@ -27,11 +27,12 @@ int main(int argc, char** argv) {
 
     const auto dsp = apps::make_dsp_filter();
     auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
 
     // Map and route.
-    const auto mapped = nmap::map_with_single_path(dsp, topo);
+    const auto mapped = nmap::map_with_single_path(dsp, ctx);
     const auto commodities = noc::build_commodities(dsp, mapped.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     const auto single_flows = sim::make_single_path_flows(topo, commodities, routed.routes);
 
     lp::McfOptions mcf;

@@ -339,9 +339,10 @@ int cmd_apps() {
 
 int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
     const auto topo = make_topology(opt, g);
+    const auto ctx = noc::EvalContext::borrow(topo);
     engine::MapRequest request;
     request.graph = &g;
-    request.topology = &topo;
+    request.context = &ctx;
     request.params = opt.params;
     request.seed = opt.seed;
     // --deadline-ms: the same fired-flag conversion PortfolioRunner does —
@@ -388,7 +389,6 @@ int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
         }
         const eval::EvalSpec spec = eval::parse_spec(opt.eval_params);
         if (spec.simulated() || spec.refine_sim) {
-            const auto ctx = noc::EvalContext::borrow(topo);
             evaluation = eval::apply(g, ctx, result, spec, request.cancelled);
             if (deadline_fired && deadline_fired->load(std::memory_order_relaxed)) {
                 std::cerr << "error["
@@ -405,7 +405,7 @@ int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
               << (opt.bandwidth > 0 ? std::to_string(opt.bandwidth) + " MB/s"
                                     : std::string("ample"))
               << " links\n"
-              << describe(result, g, topo);
+              << describe(result, g, ctx);
     if (result.feasible) {
         const auto d = noc::build_commodities(g, result.mapping);
         std::cout << "energy: " << noc::mapping_energy_mw(topo, d) << " mW\n";
@@ -430,7 +430,7 @@ int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
 
 int cmd_bw(const CliOptions& opt, const graph::CoreGraph& g) {
     const auto topo = make_topology(opt, g);
-    const auto nm = nmap::map_with_single_path(g, topo);
+    const auto nm = nmap::map_with_single_path(g, noc::EvalContext::borrow(topo));
     const auto d = noc::build_commodities(g, nm.mapping);
     lp::McfOptions tm;
     tm.objective = lp::McfObjective::MinMaxLoad;
@@ -722,13 +722,14 @@ int cmd_serve(const CliOptions& opt) {
 
 int cmd_netlist(const CliOptions& opt, const graph::CoreGraph& g) {
     const auto topo = make_topology(opt, g);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     if (!result.feasible) {
         std::cerr << "no feasible single-path mapping under these constraints\n";
         return 1;
     }
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     const auto flows = sim::make_single_path_flows(topo, d, routed.routes);
     sim::NetlistConfig cfg;
     cfg.design_name = g.name().empty() ? "design" : g.name();
@@ -760,7 +761,8 @@ int main(int argc, char** argv) {
         if (args[i] == "--mesh" && i + 1 < args.size()) {
             if (!parse_mesh(args[++i], opt.width, opt.height)) return usage();
         } else if (args[i] == "--bw" && i + 1 < args.size()) {
-            if (!util::parse_double(args[++i], opt.bandwidth) || opt.bandwidth <= 0)
+            if (!util::parse_double(args[++i], opt.bandwidth) ||
+                !std::isfinite(opt.bandwidth) || opt.bandwidth <= 0)
                 return usage();
         } else if (args[i] == "--algo" && i + 1 < args.size()) {
             opt.algo = util::to_lower(args[++i]);

@@ -9,7 +9,7 @@
 #include "baselines/pbb.hpp"
 #include "graph/random_graph.hpp"
 #include "nmap/single_path.hpp"
-#include "noc/topology.hpp"
+#include "noc/eval_context.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,14 +31,14 @@ int main(int argc, char** argv) {
         cfg.core_count = cores;
         cfg.seed = seed + cores;
         const auto g = generate_random_core_graph(cfg);
-        const auto topo = noc::Topology::smallest_mesh_for(cores, 1e9);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(cores, 1e9));
 
         baselines::PbbOptions pbb_opt;
         pbb_opt.queue_capacity = 4096;
         pbb_opt.max_expansions = 30000;
         baselines::PbbStats stats;
-        const auto pbb = baselines::pbb_map(g, topo, pbb_opt, &stats);
-        const auto nm = nmap::map_with_single_path(g, topo);
+        const auto pbb = baselines::pbb_map(g, ctx, pbb_opt, &stats);
+        const auto nm = nmap::map_with_single_path(g, ctx);
 
         table.add_row({util::Table::num(static_cast<long long>(cores)),
                        util::Table::num(pbb.comm_cost, 0), util::Table::num(nm.comm_cost, 0),

@@ -22,24 +22,25 @@ int main() {
 
     const auto vopd = apps::make_vopd();
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
 
     struct Entry {
         std::string name;
         nmap::MappingResult result;
     };
     std::vector<Entry> entries;
-    entries.push_back({"PMAP", baselines::pmap_map(vopd, topo)});
-    entries.push_back({"GMAP", baselines::gmap_map(vopd, topo)});
+    entries.push_back({"PMAP", baselines::pmap_map(vopd, ctx)});
+    entries.push_back({"GMAP", baselines::gmap_map(vopd, ctx)});
     baselines::PbbOptions pbb_opt;
-    entries.push_back({"PBB", baselines::pbb_map(vopd, topo, pbb_opt)});
-    entries.push_back({"NMAP", nmap::map_with_single_path(vopd, topo)});
+    entries.push_back({"PBB", baselines::pbb_map(vopd, ctx, pbb_opt)});
+    entries.push_back({"NMAP", nmap::map_with_single_path(vopd, ctx)});
 
     util::Table table("VOPD on a 4x4 mesh — cost and bandwidth by algorithm");
     table.set_header({"algorithm", "cost (hops*MB/s)", "minp BW", "split BW (TM)",
                       "split BW (TA)"});
     for (const auto& e : entries) {
         const auto d = noc::build_commodities(vopd, e.result.mapping);
-        const auto routed = nmap::route_single_min_paths(topo, d);
+        const auto routed = nmap::route_single_min_paths(ctx, d);
         lp::McfOptions tm;
         tm.objective = lp::McfObjective::MinMaxLoad;
         tm.quadrant_restricted = true;

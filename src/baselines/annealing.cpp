@@ -22,13 +22,6 @@ engine::AnnealOptions engine_options(const AnnealingOptions& options) {
 
 } // namespace
 
-nmap::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                  const AnnealingOptions& options) {
-    const engine::AnnealOutcome outcome = engine::anneal(
-        graph, topo, nmap::initial_mapping(graph, topo), engine_options(options));
-    return nmap::scored_result(graph, topo, outcome.best, outcome.evaluations);
-}
-
 nmap::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                   const AnnealingOptions& options) {
     const engine::AnnealOutcome outcome = engine::anneal(

@@ -13,7 +13,6 @@
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::baselines {
 
@@ -40,11 +39,8 @@ struct AnnealingOptions {
 /// Minimizes the Equation-7 cost by annealed tile swaps starting from
 /// NMAP's initialize() placement; scores the final mapping with the
 /// single-minimum-path router (same reporting as the other algorithms).
-nmap::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                  const AnnealingOptions& options = {});
-
-/// Context-threaded run (portfolio entry point): the walk's evaluator,
-/// router and final scoring read the shared flat tables. Bit-identical.
+/// The walk's evaluator, router and final scoring read the context's flat
+/// tables.
 nmap::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                   const AnnealingOptions& options = {});
 

@@ -25,7 +25,7 @@ namespace {
 
 struct SearchState {
     const graph::CoreGraph& graph;
-    const noc::Topology& topo;
+    const noc::EvalContext& ctx;
     std::vector<noc::TileId> assignment; ///< tile of core i (prefix valid)
     std::vector<char> occupied;
     double partial_cost = 0.0;
@@ -41,28 +41,29 @@ void search(SearchState& s, std::size_t core) {
         return;
     }
     const auto node = static_cast<graph::NodeId>(core);
-    for (std::size_t t = 0; t < s.topo.tile_count(); ++t) {
+    const noc::Topology& fabric = s.ctx.topology();
+    for (std::size_t t = 0; t < fabric.tile_count(); ++t) {
         if (s.occupied[t]) continue;
         const auto tile = static_cast<noc::TileId>(t);
         // Mesh symmetry: pin core 0 into one octant.
-        if (core == 0 && s.topo.kind() == noc::TopologyKind::Mesh) {
-            const auto c = s.topo.coord(tile);
-            if (c.x > (s.topo.width() - 1) / 2 || c.y > (s.topo.height() - 1) / 2) continue;
-            if (s.topo.width() == s.topo.height() && c.y > c.x) continue;
+        if (core == 0 && fabric.kind() == noc::TopologyKind::Mesh) {
+            const auto c = fabric.coord(tile);
+            if (c.x > (fabric.width() - 1) / 2 || c.y > (fabric.height() - 1) / 2) continue;
+            if (fabric.width() == fabric.height() && c.y > c.x) continue;
         }
         double added = 0.0;
         for (const std::int32_t e : s.graph.out_edges(node)) {
             const graph::CoreEdge& edge = s.graph.edges()[static_cast<std::size_t>(e)];
             if (static_cast<std::size_t>(edge.dst) < core)
                 added += edge.bandwidth *
-                         static_cast<double>(s.topo.distance(
+                         static_cast<double>(s.ctx.distance(
                              tile, s.assignment[static_cast<std::size_t>(edge.dst)]));
         }
         for (const std::int32_t e : s.graph.in_edges(node)) {
             const graph::CoreEdge& edge = s.graph.edges()[static_cast<std::size_t>(e)];
             if (static_cast<std::size_t>(edge.src) < core)
                 added += edge.bandwidth *
-                         static_cast<double>(s.topo.distance(
+                         static_cast<double>(s.ctx.distance(
                              tile, s.assignment[static_cast<std::size_t>(edge.src)]));
         }
         s.assignment[core] = tile;
@@ -76,30 +77,30 @@ void search(SearchState& s, std::size_t core) {
 
 } // namespace
 
-nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::Topology& topo,
+nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const ExhaustiveOptions& options) {
     if (graph.node_count() == 0)
         throw std::invalid_argument("exhaustive_map: empty core graph");
-    if (graph.node_count() > topo.tile_count())
+    if (graph.node_count() > ctx.tile_count())
         throw std::invalid_argument("exhaustive_map: more cores than tiles");
-    const std::uint64_t placements = placement_count(graph.node_count(), topo.tile_count());
+    const std::uint64_t placements = placement_count(graph.node_count(), ctx.tile_count());
     if (placements > options.max_placements)
         throw std::invalid_argument("exhaustive_map: search space too large (" +
                                     std::to_string(placements) + " placements)");
 
     SearchState state{graph,
-                      topo,
+                      ctx,
                       std::vector<noc::TileId>(graph.node_count(), noc::kInvalidTile),
-                      std::vector<char>(topo.tile_count(), 0),
+                      std::vector<char>(ctx.tile_count(), 0),
                       0.0,
                       std::numeric_limits<double>::infinity(),
                       {}};
     search(state, 0);
 
-    noc::Mapping mapping(graph.node_count(), topo.tile_count());
+    noc::Mapping mapping(graph.node_count(), ctx.tile_count());
     for (std::size_t core = 0; core < graph.node_count(); ++core)
         mapping.place(static_cast<graph::NodeId>(core), state.best_assignment[core]);
-    return nmap::scored_result(graph, topo, std::move(mapping));
+    return nmap::scored_result(graph, ctx, std::move(mapping));
 }
 
 } // namespace nocmap::baselines

@@ -8,7 +8,7 @@
 
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
-#include "noc/topology.hpp"
+#include "noc/eval_context.hpp"
 
 namespace nocmap::baselines {
 
@@ -20,7 +20,7 @@ struct ExhaustiveOptions {
 
 /// Returns the optimal mapping by exhaustive search; throws
 /// std::invalid_argument when the instance exceeds `max_placements`.
-nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::Topology& topo,
+nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const ExhaustiveOptions& options = {});
 
 /// Number of distinct placements |U|!/(|U|-|V|)! (saturating).

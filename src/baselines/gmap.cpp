@@ -8,18 +8,12 @@
 
 namespace nocmap::baselines {
 
-namespace {
-
-noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo,
-                        const noc::EvalContext* ctx) {
+noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
+    const noc::Topology& fabric = ctx.topology();
     const std::size_t cores = graph.node_count();
     if (cores == 0) throw std::invalid_argument("gmap: empty core graph");
-    if (cores > topo.tile_count())
+    if (cores > fabric.tile_count())
         throw std::invalid_argument("gmap: more cores than tiles");
-
-    const auto distance = [&](noc::TileId a, noc::TileId b) {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    };
 
     // Static order: decreasing total communication demand.
     std::vector<graph::NodeId> order(cores);
@@ -28,12 +22,12 @@ noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
         return graph.node_traffic(a) > graph.node_traffic(b);
     });
 
-    noc::Mapping mapping(cores, topo.tile_count());
+    noc::Mapping mapping(cores, fabric.tile_count());
     for (const graph::NodeId core : order) {
         noc::TileId best_tile = noc::kInvalidTile;
         double best_cost = std::numeric_limits<double>::infinity();
         std::size_t best_degree = 0;
-        for (std::size_t t = 0; t < topo.tile_count(); ++t) {
+        for (std::size_t t = 0; t < fabric.tile_count(); ++t) {
             const auto tile = static_cast<noc::TileId>(t);
             if (mapping.is_occupied(tile)) continue;
             double cost = 0.0;
@@ -42,9 +36,9 @@ noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
                 if (!mapping.is_placed(other)) continue;
                 const double comm = graph.undirected_comm(core, other);
                 if (comm <= 0.0) continue;
-                cost += comm * static_cast<double>(distance(tile, mapping.tile_of(other)));
+                cost += comm * static_cast<double>(ctx.distance(tile, mapping.tile_of(other)));
             }
-            const std::size_t degree = topo.degree(tile);
+            const std::size_t degree = fabric.degree(tile);
             // First core (cost always 0): maximum-degree tile; afterwards the
             // degree only breaks exact cost ties.
             if (cost < best_cost || (cost == best_cost && degree > best_degree)) {
@@ -57,20 +51,6 @@ noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
     }
     mapping.validate();
     return mapping;
-}
-
-} // namespace
-
-noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return gmap_place(graph, topo, nullptr);
-}
-
-noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
-    return gmap_place(graph, ctx.topology(), &ctx);
-}
-
-nmap::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return nmap::scored_result(graph, topo, gmap_placement(graph, topo));
 }
 
 nmap::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {

@@ -12,21 +12,16 @@
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::baselines {
 
 /// Runs GMAP and scores the mapping with NMAP's single-minimum-path
-/// router (cost = Eq. 7, feasibility = Inequality 3).
-nmap::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::Topology& topo);
-
-/// Context-threaded run: placement distances and the scoring re-route read
-/// the shared flat tables. Bit-identical result.
+/// router (cost = Eq. 7, feasibility = Inequality 3). Placement distances
+/// and the scoring re-route read the context's flat tables.
 nmap::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx);
 
 /// The raw greedy placement (no routing evaluation) — used by PBB as its
 /// initial incumbent.
-noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::Topology& topo);
 noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx);
 
 } // namespace nocmap::baselines

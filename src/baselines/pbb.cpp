@@ -23,11 +23,11 @@ struct SearchNode {
 
 /// Multi-source BFS distance from every tile to its nearest *free* tile.
 /// Occupied sources get distance >= 1; free tiles get 0.
-std::vector<std::int32_t> nearest_free_distance(const noc::Topology& topo,
+std::vector<std::int32_t> nearest_free_distance(const noc::Topology& fabric,
                                                 const std::vector<char>& occupied) {
-    std::vector<std::int32_t> dist(topo.tile_count(), -1);
+    std::vector<std::int32_t> dist(fabric.tile_count(), -1);
     std::queue<noc::TileId> frontier;
-    for (std::size_t t = 0; t < topo.tile_count(); ++t)
+    for (std::size_t t = 0; t < fabric.tile_count(); ++t)
         if (!occupied[t]) {
             dist[t] = 0;
             frontier.push(static_cast<noc::TileId>(t));
@@ -35,8 +35,8 @@ std::vector<std::int32_t> nearest_free_distance(const noc::Topology& topo,
     while (!frontier.empty()) {
         const noc::TileId u = frontier.front();
         frontier.pop();
-        for (const noc::LinkId l : topo.out_links(u)) {
-            const noc::TileId v = topo.link(l).dst;
+        for (const noc::LinkId l : fabric.out_links(u)) {
+            const noc::TileId v = fabric.link(l).dst;
             if (dist[static_cast<std::size_t>(v)] == -1) {
                 dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
                 frontier.push(v);
@@ -46,12 +46,14 @@ std::vector<std::int32_t> nearest_free_distance(const noc::Topology& topo,
     return dist;
 }
 
-nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology& topo,
-                             const noc::EvalContext* ctx, const PbbOptions& options,
-                             PbbStats* stats_out) {
+} // namespace
+
+nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                            const PbbOptions& options, PbbStats* stats_out) {
+    const noc::Topology& fabric = ctx.topology();
     const std::size_t cores = graph.node_count();
     if (cores == 0) throw std::invalid_argument("pbb: empty core graph");
-    if (cores > topo.tile_count())
+    if (cores > fabric.tile_count())
         throw std::invalid_argument("pbb: more cores than tiles");
 
     PbbStats stats;
@@ -89,30 +91,25 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
         for (std::size_t k = 0; k <= a; ++k) future_value[k] += e.bandwidth;
     }
 
-    const auto distance = [&](noc::TileId a, noc::TileId b) {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    };
-
     // Incumbent: greedy placement cost (upper bound to prune against).
-    noc::Mapping best_mapping = ctx ? gmap_placement(graph, *ctx) : gmap_placement(graph, topo);
-    const auto commodities = noc::build_commodities(graph, best_mapping);
-    double incumbent = ctx ? noc::communication_cost(*ctx, commodities)
-                           : noc::communication_cost(topo, commodities);
+    noc::Mapping best_mapping = gmap_placement(graph, ctx);
+    double incumbent =
+        noc::communication_cost(ctx, noc::build_commodities(graph, best_mapping));
 
     // Open list ordered by lower bound; worst entries dropped at capacity.
     std::multimap<double, SearchNode> open;
 
     // Root expansion: first core, symmetry-broken tile set.
     {
-        const std::int32_t half_w = (topo.width() - 1) / 2;
-        const std::int32_t half_h = (topo.height() - 1) / 2;
-        for (std::size_t t = 0; t < topo.tile_count(); ++t) {
+        const std::int32_t half_w = (fabric.width() - 1) / 2;
+        const std::int32_t half_h = (fabric.height() - 1) / 2;
+        for (std::size_t t = 0; t < fabric.tile_count(); ++t) {
             const auto tile = static_cast<noc::TileId>(t);
-            if (topo.kind() == noc::TopologyKind::Mesh) {
-                const auto c = topo.coord(tile);
+            if (fabric.kind() == noc::TopologyKind::Mesh) {
+                const auto c = fabric.coord(tile);
                 if (c.x > half_w || c.y > half_h) continue;
-                if (topo.width() == topo.height() && c.y > c.x) continue;
-            } else if (topo.kind() == noc::TopologyKind::Torus && tile != 0) {
+                if (fabric.width() == fabric.height() && c.y > c.x) continue;
+            } else if (fabric.kind() == noc::TopologyKind::Torus && tile != 0) {
                 continue; // torus is vertex-transitive: fix the first tile
             } // custom fabrics: no symmetry assumption, try every tile
             SearchNode node;
@@ -124,7 +121,7 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
         }
     }
 
-    std::vector<char> occupied(topo.tile_count(), 0);
+    std::vector<char> occupied(fabric.tile_count(), 0);
     while (!open.empty()) {
         if (options.max_expansions && stats.expansions >= options.max_expansions) break;
         SearchNode node = std::move(open.begin()->second);
@@ -137,7 +134,7 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
         if (level == cores) {
             // Complete mapping better than the incumbent.
             incumbent = node.partial_cost;
-            noc::Mapping mapping(cores, topo.tile_count());
+            noc::Mapping mapping(cores, fabric.tile_count());
             for (std::size_t i = 0; i < cores; ++i) mapping.place(order[i], node.assigned[i]);
             best_mapping = std::move(mapping);
             continue;
@@ -146,16 +143,16 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
 
         std::fill(occupied.begin(), occupied.end(), 0);
         for (const noc::TileId t : node.assigned) occupied[static_cast<std::size_t>(t)] = 1;
-        const auto free_dist = nearest_free_distance(topo, occupied);
+        const auto free_dist = nearest_free_distance(fabric, occupied);
 
-        for (std::size_t t = 0; t < topo.tile_count(); ++t) {
+        for (std::size_t t = 0; t < fabric.tile_count(); ++t) {
             const auto tile = static_cast<noc::TileId>(t);
             if (occupied[t]) continue;
 
             double partial = node.partial_cost;
             for (const Earlier& e : earlier_edges[level])
-                partial += e.value *
-                           static_cast<double>(distance(tile, node.assigned[e.partner_position]));
+                partial += e.value * static_cast<double>(
+                                         ctx.distance(tile, node.assigned[e.partner_position]));
 
             // Admissible bound: cross edges need at least the distance from
             // their placed endpoint to the nearest free tile (computed on
@@ -194,22 +191,7 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
     stats.exhausted = open.empty();
 
     if (stats_out) *stats_out = stats;
-    if (ctx)
-        return nmap::scored_result(graph, *ctx, std::move(best_mapping),
-                                   stats.expansions + 1);
-    return nmap::scored_result(graph, topo, std::move(best_mapping), stats.expansions + 1);
-}
-
-} // namespace
-
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                            const PbbOptions& options, PbbStats* stats_out) {
-    return pbb_impl(graph, topo, nullptr, options, stats_out);
-}
-
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                            const PbbOptions& options, PbbStats* stats_out) {
-    return pbb_impl(graph, ctx.topology(), &ctx, options, stats_out);
+    return nmap::scored_result(graph, ctx, std::move(best_mapping), stats.expansions + 1);
 }
 
 } // namespace nocmap::baselines

@@ -24,7 +24,6 @@
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::baselines {
 
@@ -45,13 +44,9 @@ struct PbbStats {
 };
 
 /// Runs PBB and scores the final mapping with the single-minimum-path
-/// router. `stats_out`, when non-null, receives search statistics.
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                            const PbbOptions& options = {}, PbbStats* stats_out = nullptr);
-
-/// Context-threaded run: the bound/partial-cost distances, the incumbent's
-/// Eq.7 cost and the final scoring re-route all read the shared flat
-/// tables. Bit-identical result and statistics.
+/// router. `stats_out`, when non-null, receives search statistics. The
+/// bound/partial-cost distances, the incumbent's Eq.7 cost and the final
+/// scoring re-route all read the context's flat tables.
 nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                             const PbbOptions& options = {}, PbbStats* stats_out = nullptr);
 

@@ -7,20 +7,13 @@
 
 namespace nocmap::baselines {
 
-namespace {
-
-noc::Mapping pmap_place(const graph::CoreGraph& graph, const noc::Topology& topo,
-                        const noc::EvalContext* ctx) {
+noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
     const std::size_t cores = graph.node_count();
     if (cores == 0) throw std::invalid_argument("pmap: empty core graph");
-    if (cores > topo.tile_count())
+    if (cores > ctx.tile_count())
         throw std::invalid_argument("pmap: more cores than tiles");
 
-    const auto distance = [&](noc::TileId a, noc::TileId b) {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    };
-
-    noc::Mapping mapping(cores, topo.tile_count());
+    noc::Mapping mapping(cores, ctx.tile_count());
 
     // Seed: heaviest cluster on processor 0. PMAP targets generic
     // multiprocessor enumerations and has no notion of mesh centrality —
@@ -77,10 +70,10 @@ noc::Mapping pmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
         const noc::TileId anchor = mapping.tile_of(partner);
         noc::TileId best_tile = noc::kInvalidTile;
         std::int32_t best_distance = std::numeric_limits<std::int32_t>::max();
-        for (std::size_t t = 0; t < topo.tile_count(); ++t) {
+        for (std::size_t t = 0; t < ctx.tile_count(); ++t) {
             const auto tile = static_cast<noc::TileId>(t);
             if (mapping.is_occupied(tile)) continue;
-            const std::int32_t d = distance(anchor, tile);
+            const std::int32_t d = ctx.distance(anchor, tile);
             if (d < best_distance) {
                 best_distance = d;
                 best_tile = tile;
@@ -90,20 +83,6 @@ noc::Mapping pmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
     }
     mapping.validate();
     return mapping;
-}
-
-} // namespace
-
-noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return pmap_place(graph, topo, nullptr);
-}
-
-noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
-    return pmap_place(graph, ctx.topology(), &ctx);
-}
-
-nmap::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return nmap::scored_result(graph, topo, pmap_placement(graph, topo));
 }
 
 nmap::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {

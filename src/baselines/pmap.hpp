@@ -23,16 +23,13 @@
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::baselines {
 
-nmap::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::Topology& topo);
-noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::Topology& topo);
-
-/// Context-threaded run/placement: distances and the scoring re-route read
-/// the shared flat tables. Bit-identical results.
+/// Runs PMAP and scores the mapping with NMAP's single-minimum-path router;
+/// distances and the scoring re-route read the context's flat tables.
 nmap::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx);
+/// The raw placement (no routing evaluation).
 noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx);
 
 } // namespace nocmap::baselines

@@ -12,7 +12,7 @@
 // request checks (validation, cancellation, instance guards), so a runner
 // only ever sees parameters its spec admits — and an empty Params set
 // decodes to a default-constructed Options struct, keeping defaults-only
-// requests bit-identical to the pre-redesign entry points.
+// requests bit-identical to the algorithm layers' own defaults.
 
 #include <utility>
 
@@ -42,9 +42,8 @@ public:
     MapOutcome run(const MapRequest& request) const override {
         if (!request.graph)
             return MapOutcome::failure(MapErrorCode::Internal, "request has no graph");
-        if (!request.context && !request.topology)
-            return MapOutcome::failure(MapErrorCode::Internal,
-                                       "request has neither topology nor context");
+        if (!request.context)
+            return MapOutcome::failure(MapErrorCode::Internal, "request has no context");
         if (auto error = validate_params(request.params, specs_))
             return MapOutcome::failure(std::move(*error));
         if (request.cancelled && request.cancelled())
@@ -53,12 +52,12 @@ public:
         if (request.graph->node_count() == 0)
             return MapOutcome::failure(MapErrorCode::UnsupportedInstance,
                                        "empty core graph");
-        if (request.graph->node_count() > request.topo().tile_count())
+        if (request.graph->node_count() > request.context->tile_count())
             return MapOutcome::failure(
                 MapErrorCode::UnsupportedInstance,
                 "more cores than tiles (|V| = " +
                     std::to_string(request.graph->node_count()) + " > |U| = " +
-                    std::to_string(request.topo().tile_count()) + ")");
+                    std::to_string(request.context->tile_count()) + ")");
         try {
             return runner_(request);
         } catch (const std::invalid_argument& e) {
@@ -165,8 +164,7 @@ MapOutcome run_nmap(const MapRequest& request) {
     options.eval = parse_eval(request.params.string_or("eval", "ledger-exact"));
     options.cancel = request.cancelled;
     return MapOutcome::success(
-        request.context ? nmap::map_with_single_path(*request.graph, *request.context, options)
-                        : nmap::map_with_single_path(*request.graph, request.topo(), options));
+        nmap::map_with_single_path(*request.graph, *request.context, options));
 }
 
 // ------------------------------------------------------------ split modes
@@ -210,9 +208,7 @@ MapOutcome run_split(const MapRequest& request, nmap::SplitMode mode) {
     options.warm_start = request.params.bool_or("warm_start", false);
     options.cancel = request.cancelled;
     return MapOutcome::success(
-        request.context
-            ? nmap::map_with_splitting(*request.graph, *request.context, options)
-            : nmap::map_with_splitting(*request.graph, request.topo(), options));
+        nmap::map_with_splitting(*request.graph, *request.context, options));
 }
 
 // -------------------------------------------------------------------- pbb
@@ -233,9 +229,7 @@ MapOutcome run_pbb(const MapRequest& request) {
         static_cast<std::size_t>(request.params.int_or("queue_capacity", 8192));
     options.max_expansions =
         static_cast<std::size_t>(request.params.int_or("max_expansions", 200000));
-    return MapOutcome::success(
-        request.context ? baselines::pbb_map(*request.graph, *request.context, options)
-                        : baselines::pbb_map(*request.graph, request.topo(), options));
+    return MapOutcome::success(baselines::pbb_map(*request.graph, *request.context, options));
 }
 
 // --------------------------------------------------------------------- sa
@@ -275,8 +269,7 @@ MapOutcome run_sa(const MapRequest& request) {
     options.bandwidth_aware = request.params.bool_or("bandwidth_aware", false);
     options.cancel = request.cancelled;
     return MapOutcome::success(
-        request.context ? baselines::annealing_map(*request.graph, *request.context, options)
-                        : baselines::annealing_map(*request.graph, request.topo(), options));
+        baselines::annealing_map(*request.graph, *request.context, options));
 }
 
 // ------------------------------------------------------------- exhaustive
@@ -295,28 +288,24 @@ MapOutcome run_exhaustive(const MapRequest& request) {
     // The search-space guard reports a typed error (the message matches the
     // throw exhaustive_map keeps for direct callers).
     const std::uint64_t placements = baselines::placement_count(
-        request.graph->node_count(), request.topo().tile_count());
+        request.graph->node_count(), request.context->tile_count());
     if (placements > options.max_placements)
         return MapOutcome::failure(MapErrorCode::SearchSpaceExceeded,
                                    "exhaustive_map: search space too large (" +
                                        std::to_string(placements) + " placements)",
                                    "max_placements");
     return MapOutcome::success(
-        baselines::exhaustive_map(*request.graph, request.topo(), options));
+        baselines::exhaustive_map(*request.graph, *request.context, options));
 }
 
 // ------------------------------------------------------- parameterless
 
 MapOutcome run_pmap(const MapRequest& request) {
-    return MapOutcome::success(request.context
-                                   ? baselines::pmap_map(*request.graph, *request.context)
-                                   : baselines::pmap_map(*request.graph, request.topo()));
+    return MapOutcome::success(baselines::pmap_map(*request.graph, *request.context));
 }
 
 MapOutcome run_gmap(const MapRequest& request) {
-    return MapOutcome::success(request.context
-                                   ? baselines::gmap_map(*request.graph, *request.context)
-                                   : baselines::gmap_map(*request.graph, request.topo()));
+    return MapOutcome::success(baselines::gmap_map(*request.graph, *request.context));
 }
 
 } // namespace

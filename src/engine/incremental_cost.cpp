@@ -7,17 +7,8 @@
 namespace nocmap::engine {
 
 IncrementalEvaluator::IncrementalEvaluator(const graph::CoreGraph& graph,
-                                           const noc::Topology& topo, noc::Mapping mapping)
-    : graph_(graph), topo_(topo), mapping_(std::move(mapping)) {
-    if (!mapping_.is_complete())
-        throw std::invalid_argument("IncrementalEvaluator: mapping must be complete");
-    commodities_ = noc::build_commodities(graph_, mapping_);
-    cost_ = noc::communication_cost(topo_, commodities_);
-}
-
-IncrementalEvaluator::IncrementalEvaluator(const graph::CoreGraph& graph,
                                            const noc::EvalContext& ctx, noc::Mapping mapping)
-    : graph_(graph), topo_(ctx.topology()), ctx_(&ctx), mapping_(std::move(mapping)) {
+    : graph_(graph), ctx_(ctx), mapping_(std::move(mapping)) {
     if (!mapping_.is_complete())
         throw std::invalid_argument("IncrementalEvaluator: mapping must be complete");
     commodities_ = noc::build_commodities(graph_, mapping_);
@@ -29,8 +20,7 @@ void IncrementalEvaluator::rebase(const noc::Mapping& mapping) {
         throw std::invalid_argument("IncrementalEvaluator: mapping must be complete");
     mapping_ = mapping;
     commodities_ = noc::build_commodities(graph_, mapping_);
-    cost_ = ctx_ ? noc::communication_cost(*ctx_, commodities_)
-                 : noc::communication_cost(topo_, commodities_);
+    cost_ = noc::communication_cost(ctx_, commodities_);
 }
 
 /// Σ over edges incident to `core` (placed on `tile`) of vl · dist, skipping
@@ -44,13 +34,13 @@ double IncrementalEvaluator::placed_edge_cost(graph::NodeId core, noc::TileId ti
         const graph::CoreEdge& edge = graph_.edges()[static_cast<std::size_t>(e)];
         if (edge.dst == skip || !mapping_.is_placed(edge.dst)) continue;
         cost += edge.bandwidth *
-                static_cast<double>(distance(tile, mapping_.tile_of(edge.dst)));
+                static_cast<double>(ctx_.distance(tile, mapping_.tile_of(edge.dst)));
     }
     for (const std::int32_t e : graph_.in_edges(core)) {
         const graph::CoreEdge& edge = graph_.edges()[static_cast<std::size_t>(e)];
         if (edge.src == skip || !mapping_.is_placed(edge.src)) continue;
         cost += edge.bandwidth *
-                static_cast<double>(distance(tile, mapping_.tile_of(edge.src)));
+                static_cast<double>(ctx_.distance(tile, mapping_.tile_of(edge.src)));
     }
     return cost;
 }

@@ -25,7 +25,6 @@
 #include "noc/commodity.hpp"
 #include "noc/eval_context.hpp"
 #include "noc/mapping.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::engine {
 
@@ -33,14 +32,9 @@ class IncrementalEvaluator {
 public:
     /// Binds the evaluator to a complete mapping; builds the commodity set
     /// and the initial cost (identical to noc::communication_cost over
-    /// noc::build_commodities).
-    IncrementalEvaluator(const graph::CoreGraph& graph, const noc::Topology& topo,
-                         noc::Mapping mapping);
-
-    /// Context-threaded binding: distances come from the shared context's
-    /// flat table instead of per-call Topology arithmetic. The context must
-    /// outlive the evaluator (the portfolio's TopologyCache guarantees
-    /// this; stack contexts must outlive the sweep).
+    /// noc::build_commodities). Distances come from the context's flat
+    /// table; the context must outlive the evaluator (the portfolio's
+    /// TopologyCache guarantees this; stack contexts must outlive the sweep).
     IncrementalEvaluator(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                          noc::Mapping mapping);
 
@@ -65,13 +59,9 @@ public:
 private:
     double placed_edge_cost(graph::NodeId core, noc::TileId tile, graph::NodeId skip) const;
     void refresh_core_commodities(graph::NodeId core);
-    std::int32_t distance(noc::TileId a, noc::TileId b) const {
-        return ctx_ ? ctx_->distance(a, b) : topo_.distance(a, b);
-    }
 
     const graph::CoreGraph& graph_;
-    const noc::Topology& topo_;
-    const noc::EvalContext* ctx_ = nullptr; ///< null without a shared context
+    const noc::EvalContext& ctx_;
     noc::Mapping mapping_;
     std::vector<noc::Commodity> commodities_;
     double cost_ = 0.0;

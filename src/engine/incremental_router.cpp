@@ -16,22 +16,10 @@ constexpr double kInfeasibleCost = std::numeric_limits<double>::infinity();
 
 } // namespace
 
-IncrementalRouter::IncrementalRouter(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                     noc::Mapping mapping, RerouteOptions options)
-    : graph_(&graph), topo_(&topo),
-      owned_ctx_(std::make_shared<noc::EvalContext>(noc::EvalContext::borrow(topo))),
-      options_(options) {
-    // The flat distance table turns every hot-path distance/quadrant query
-    // into one load; its values equal Topology arithmetic exactly, so this
-    // is invisible to results. Shared: clones reuse the same table.
-    ctx_ = owned_ctx_.get();
-    bind(std::move(mapping));
-}
-
 IncrementalRouter::IncrementalRouter(const graph::CoreGraph& graph,
                                      const noc::EvalContext& ctx, noc::Mapping mapping,
                                      RerouteOptions options)
-    : graph_(&graph), topo_(&ctx.topology()), ctx_(&ctx), options_(options) {
+    : graph_(&graph), ctx_(ctx), options_(options) {
     bind(std::move(mapping));
 }
 
@@ -48,15 +36,15 @@ void IncrementalRouter::bind(noc::Mapping mapping) {
         value_at_[p] = commodities_[order_[p]].value;
     }
     incident_flag_.assign(commodities_.size(), 0);
-    link_slot_.assign(topo_->link_count(), -1);
+    link_slot_.assign(fabric().link_count(), -1);
     modified_links_.clear();
-    base_prefix_.assign(topo_->link_count(), 0.0);
-    cand_prefix_.assign(topo_->link_count(), 0.0);
-    prefix_stamp_.assign(topo_->link_count(), 0);
+    base_prefix_.assign(fabric().link_count(), 0.0);
+    cand_prefix_.assign(fabric().link_count(), 0.0);
+    prefix_stamp_.assign(fabric().link_count(), 0);
     prefix_epoch_ = 0; // stamps start stale: every link lazily initializes
     prefix_first_ = 0;
-    diff_flag_.assign(topo_->link_count(), 0);
-    in_diff_list_.assign(topo_->link_count(), 0);
+    diff_flag_.assign(fabric().link_count(), 0);
+    in_diff_list_.assign(fabric().link_count(), 0);
     diff_links_.clear();
     diff_count_ = 0;
     full_route();
@@ -66,14 +54,13 @@ void IncrementalRouter::bind(noc::Mapping mapping) {
 
 void IncrementalRouter::full_route() {
     routes_.assign(commodities_.size(), {});
-    ledger_.assign(topo_->link_count(), {});
-    loads_.assign(topo_->link_count(), 0.0);
-    const noc::DistanceOracle orc = oracle();
+    ledger_.assign(fabric().link_count(), {});
+    loads_.assign(fabric().link_count(), 0.0);
     for (std::size_t p = 0; p < order_.size(); ++p) {
         const std::size_t slot = order_[p];
         const noc::Commodity& c = commodities_[slot];
         noc::Route route = noc::least_congested_min_path(
-            orc, c.src_tile, c.dst_tile,
+            ctx_, c.src_tile, c.dst_tile,
             [&](noc::LinkId l) { return loads_[static_cast<std::size_t>(l)]; }, scratch_);
         ++dijkstras_;
         for (const noc::LinkId l : route) {
@@ -204,7 +191,6 @@ void IncrementalRouter::exact_eval() {
     // a path node a different equal-cost predecessor — the returned route
     // changes even though its cost does not. Only weight-equality is
     // tie-safe.
-    const noc::DistanceOracle orc = oracle();
     const auto a = pending_a_;
     const auto b = pending_b_;
     const auto translate = [&](noc::TileId t) { return t == a ? b : (t == b ? a : t); };
@@ -248,11 +234,11 @@ void IncrementalRouter::exact_eval() {
             // pointing toward the destination.
             for (const noc::LinkId l : diff_links_) {
                 if (!diff_flag_[static_cast<std::size_t>(l)]) continue; // no longer differs
-                const noc::Link& link = topo_->link(l);
-                if (!orc.in_quadrant(link.src, src, dst) ||
-                    !orc.in_quadrant(link.dst, src, dst))
+                const noc::Link& link = fabric().link(l);
+                if (!ctx_.in_quadrant(link.src, src, dst) ||
+                    !ctx_.in_quadrant(link.dst, src, dst))
                     continue;
-                if (orc.distance(link.dst, dst) >= orc.distance(link.src, dst)) continue;
+                if (ctx_.distance(link.dst, dst) >= ctx_.distance(link.src, dst)) continue;
                 dirty = true;
                 break;
             }
@@ -264,7 +250,7 @@ void IncrementalRouter::exact_eval() {
         if (dirty) {
             ++dijkstras_;
             noc::Route route = noc::least_congested_min_path(
-                orc, src, dst,
+                ctx_, src, dst,
                 [&](noc::LinkId l) {
                     const auto i = static_cast<std::size_t>(l);
                     ensure_prefix(i);
@@ -323,7 +309,6 @@ void IncrementalRouter::fast_eval() {
     // Pure rip-up-and-reroute: pull the incident commodities off the
     // ledger and re-route them, in value order, against the absolute
     // current loads. O(deg) Dijkstras, no replay of the sequential pass.
-    const noc::DistanceOracle orc = oracle();
     const auto a = pending_a_;
     const auto b = pending_b_;
     const auto translate = [&](noc::TileId t) { return t == a ? b : (t == b ? a : t); };
@@ -336,7 +321,7 @@ void IncrementalRouter::fast_eval() {
         const Pos p = pos_of_[slot];
         ++dijkstras_;
         noc::Route route = noc::least_congested_min_path(
-            orc, translate(c.src_tile), translate(c.dst_tile),
+            ctx_, translate(c.src_tile), translate(c.dst_tile),
             [&](noc::LinkId l) { return fast_loads_[static_cast<std::size_t>(l)]; },
             scratch_);
         for (const noc::LinkId l : route)
@@ -363,13 +348,13 @@ void IncrementalRouter::fast_eval() {
             candidate[slot].dst_tile = translate(candidate[slot].dst_tile);
         }
         pending_all_routes_.assign(candidate.size(), {});
-        pending_all_ledger_.assign(topo_->link_count(), {});
-        pending_all_loads_.assign(topo_->link_count(), 0.0);
+        pending_all_ledger_.assign(fabric().link_count(), {});
+        pending_all_loads_.assign(fabric().link_count(), 0.0);
         for (std::size_t p = 0; p < order_.size(); ++p) {
             const std::size_t slot = order_[p];
             const noc::Commodity& c = candidate[slot];
             noc::Route route = noc::least_congested_min_path(
-                orc, c.src_tile, c.dst_tile,
+                ctx_, c.src_tile, c.dst_tile,
                 [&](noc::LinkId l) { return pending_all_loads_[static_cast<std::size_t>(l)]; },
                 scratch_);
             ++dijkstras_;

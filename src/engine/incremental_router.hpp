@@ -52,7 +52,6 @@
 // reroute_swap non-const.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/core_graph.hpp"
@@ -100,15 +99,9 @@ struct RerouteEval {
 
 class IncrementalRouter {
 public:
-    /// Binds to `topo`, internally borrowing a flat EvalContext over it so
-    /// the hot distance/quadrant queries are one table load regardless of
-    /// how the router was constructed. The topology must outlive the
-    /// router. Results are identical to the context-threaded constructor.
-    IncrementalRouter(const graph::CoreGraph& graph, const noc::Topology& topo,
-                      noc::Mapping mapping, RerouteOptions options = {});
-    /// Context-threaded binding: Dijkstra distance/quadrant queries and the
-    /// Eq.7 sum read the shared flat tables. The context must outlive the
-    /// router.
+    /// Binds to a complete mapping: Dijkstra distance/quadrant queries and
+    /// the Eq.7 sum read the context's flat tables. The context must
+    /// outlive the router (and every copy of it).
     IncrementalRouter(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                       noc::Mapping mapping, RerouteOptions options = {});
 
@@ -159,12 +152,12 @@ private:
         double new_load = 0.0;      ///< in-order sum of `crossings` (score_pending)
     };
 
-    noc::DistanceOracle oracle() const noexcept { return {*topo_, ctx_}; }
+    const noc::Topology& fabric() const noexcept { return ctx_.topology(); }
     std::int32_t distance(noc::TileId a, noc::TileId b) const {
-        return ctx_->distance(a, b);
+        return ctx_.distance(a, b);
     }
     double link_capacity(std::size_t l) const {
-        return topo_->link(static_cast<noc::LinkId>(l)).capacity;
+        return fabric().link(static_cast<noc::LinkId>(l)).capacity;
     }
 
     void bind(noc::Mapping mapping);
@@ -180,9 +173,7 @@ private:
     double pending_cost() const;  ///< Eq.7 over pending endpoints, slot order
 
     const graph::CoreGraph* graph_;
-    const noc::Topology* topo_;
-    const noc::EvalContext* ctx_ = nullptr; ///< always set (caller's or owned)
-    std::shared_ptr<const noc::EvalContext> owned_ctx_; ///< plain-Topology binding
+    const noc::EvalContext& ctx_;
     RerouteOptions options_;
 
     // ---- committed state --------------------------------------------------

@@ -32,12 +32,6 @@ std::string MapError::to_string() const {
     return text;
 }
 
-const noc::Topology& MapRequest::topo() const {
-    if (context) return context->topology();
-    if (topology) return *topology;
-    throw std::logic_error("MapRequest: neither topology nor context set");
-}
-
 MapOutcome MapOutcome::success(MappingResult result) {
     MapOutcome outcome;
     outcome.ok_ = true;
@@ -72,8 +66,8 @@ const MapError& MapOutcome::error() const {
 }
 
 MappingResult MapOutcome::take_or_throw() {
-    // The compat shims' contract: request-shaped failures surface as the
-    // std::invalid_argument the pre-redesign API threw.
+    // map_by_name()'s contract: request-shaped failures surface as
+    // std::invalid_argument.
     if (!ok_) throw std::invalid_argument(error_.to_string());
     return std::move(result_);
 }

@@ -3,13 +3,12 @@
 // every registered mapper runs on, and engine::MapError — the structured
 // failure that replaces std::invalid_argument throws on that path.
 //
-// A request names the instance (graph + topology, or graph + shared
-// EvalContext), carries an engine::Params set validated against the
-// mapper's published ParamSpec list, a seed for the RNG-using algorithms,
-// and an optional cooperative cancellation hook. The outcome is either a
-// MappingResult or a MapError{code, message, param}; front ends (CLI,
-// portfolio runner, serve daemon) branch on the code instead of parsing
-// exception text.
+// A request names the instance (graph + shared EvalContext), carries an
+// engine::Params set validated against the mapper's published ParamSpec
+// list, a seed for the RNG-using algorithms, and an optional cooperative
+// cancellation hook. The outcome is either a MappingResult or a
+// MapError{code, message, param}; front ends (CLI, portfolio runner, serve
+// daemon) branch on the code instead of parsing exception text.
 
 #include <functional>
 #include <optional>
@@ -47,16 +46,20 @@ struct MapError {
     /// Offending parameter name, when the failure is about one ("" else).
     std::string param;
 
-    /// "code: message (param 'name')" — what the compat shims throw.
+    /// "code: message (param 'name')" — what map_by_name() throws.
     std::string to_string() const;
 };
 
 struct MapRequest {
     const graph::CoreGraph* graph = nullptr;
-    /// Exactly one of `topology`/`context` must be set; `context` wins when
-    /// both are (its precomputed tables make it the faster entry).
-    const noc::Topology* topology = nullptr;
+    /// The instance every mapper runs on: the fabric plus its precomputed
+    /// distance and energy tables.
     const noc::EvalContext* context = nullptr;
+    /// Edge convenience for callers that hold only a Topology: when
+    /// `context` is unset, Registry::run() borrows one context over it, so
+    /// a mapper's run() only ever reads `context`. Ignored when `context`
+    /// is set.
+    const noc::Topology* topology = nullptr;
     Params params;
     /// Seed for the RNG-using mappers; 0 = unset (algorithm default). An
     /// explicit "seed" param outranks this field.
@@ -65,9 +68,6 @@ struct MapRequest {
     /// boundaries (sweep rows, SA temperature steps) and return a
     /// Cancelled outcome / their best-so-far when it reads true.
     std::function<bool()> cancelled;
-
-    /// The topology the request maps onto (context's when set).
-    const noc::Topology& topo() const;
 };
 
 class MapOutcome {
@@ -87,7 +87,7 @@ public:
     const MapError& error() const;
 
     /// Moves the result out, or throws std::invalid_argument with
-    /// error().to_string() — the bridge to the pre-redesign throwing API.
+    /// error().to_string() — what map_by_name() throws.
     MappingResult take_or_throw();
 
 private:

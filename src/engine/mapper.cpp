@@ -14,20 +14,6 @@ const std::vector<ParamSpec>& Mapper::param_specs() const {
     return kNone;
 }
 
-MappingResult Mapper::map(const graph::CoreGraph& graph, const noc::Topology& topo) const {
-    MapRequest request;
-    request.graph = &graph;
-    request.topology = &topo;
-    return run(request).take_or_throw();
-}
-
-MappingResult Mapper::map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) const {
-    MapRequest request;
-    request.graph = &graph;
-    request.context = &ctx;
-    return run(request).take_or_throw();
-}
-
 void Registry::add(MapperInfo info, Factory factory) {
     if (info.name.empty())
         throw std::invalid_argument("Registry::add: empty mapper name");
@@ -58,6 +44,12 @@ MapOutcome Registry::run(std::string_view name, const MapRequest& request) const
         return MapOutcome::failure(MapErrorCode::UnknownMapper,
                                    "unknown mapper '" + std::string(name) +
                                        "'; valid names: " + util::join(names(), ", "));
+    if (!request.context && request.topology) {
+        const noc::EvalContext ctx = noc::EvalContext::borrow(*request.topology);
+        MapRequest borrowed = request;
+        borrowed.context = &ctx;
+        return entry->factory()->run(borrowed);
+    }
     return entry->factory()->run(request);
 }
 
@@ -100,13 +92,11 @@ Registry& registry() {
 }
 
 MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
-                          const noc::Topology& topo) {
-    return registry().create(name)->map(graph, topo);
-}
-
-MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
                           const noc::EvalContext& ctx) {
-    return registry().create(name)->map(graph, ctx);
+    MapRequest request;
+    request.graph = &graph;
+    request.context = &ctx;
+    return registry().run(name, request).take_or_throw();
 }
 
 MapOutcome run_by_name(std::string_view name, const MapRequest& request) {

@@ -7,12 +7,12 @@
 // pmap, gmap, pbb, sa, exhaustive) are pre-registered; new mappers register
 // through Registry::add() — see docs/ARCHITECTURE.md for a worked example.
 //
-// A mapper's primary entry point is run(MapRequest): it validates the
-// request's Params against the ParamSpec list the mapper publishes (unknown
-// key / out-of-range -> typed MapError, never a silent default) and returns
-// a MapOutcome. The map() overloads of the pre-redesign API are thin
-// non-virtual shims over run() — default parameters in, throw on error —
-// kept so every existing call site still compiles and behaves identically.
+// A mapper's one entry point is run(MapRequest): it validates the request's
+// Params against the ParamSpec list the mapper publishes (unknown key /
+// out-of-range -> typed MapError, never a silent default) and returns a
+// MapOutcome. The instance is the request's noc::EvalContext; callers that
+// hold only a Topology borrow a context over it (EvalContext::borrow).
+// map_by_name() is the one throwing convenience over registry().run().
 
 #include <functional>
 #include <memory>
@@ -51,17 +51,12 @@ public:
     /// validates every request against it.
     virtual const std::vector<ParamSpec>& param_specs() const;
 
-    /// Primary entry point. Implementations must validate request.params
+    /// The entry point. Implementations must validate request.params
     /// against param_specs() (validate_params does the work) and report
     /// instance-shaped failures (search-space guards, |V| > |U|) as
-    /// MapError outcomes rather than throwing.
+    /// MapError outcomes rather than throwing. The instance is
+    /// request.context.
     virtual MapOutcome run(const MapRequest& request) const = 0;
-
-    /// Compat shims: default parameters, throw std::invalid_argument with
-    /// the error's to_string() on a failed outcome (what the pre-redesign
-    /// virtuals threw).
-    MappingResult map(const graph::CoreGraph& graph, const noc::Topology& topo) const;
-    MappingResult map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) const;
 };
 
 class Registry {
@@ -80,7 +75,8 @@ public:
 
     /// Validates and runs `request` on the mapper registered under `name`.
     /// An unknown name yields an UnknownMapper outcome (listing the valid
-    /// names), never a throw — the front ends' entry point.
+    /// names), never a throw — the front ends' entry point. A request that
+    /// names only a topology runs on a context borrowed over it.
     MapOutcome run(std::string_view name, const MapRequest& request) const;
 
     /// Introspection: info + ParamSpec list of one mapper (throws like
@@ -108,9 +104,9 @@ private:
 /// static-library build cannot silently drop mappers).
 Registry& registry();
 
-/// Convenience: construct and run a registered mapper in one call.
-MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
-                          const noc::Topology& topo);
+/// Convenience: registry().run() with default parameters; throws
+/// std::invalid_argument with the error's to_string() on a failed outcome
+/// (an unknown name included).
 MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
                           const noc::EvalContext& ctx);
 /// The typed-outcome variant: registry().run() on the process registry.

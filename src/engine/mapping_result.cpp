@@ -5,7 +5,7 @@
 namespace nocmap::engine {
 
 std::string describe(const MappingResult& result, const graph::CoreGraph& graph,
-                     const noc::Topology& topo) {
+                     const noc::EvalContext& ctx) {
     std::ostringstream os;
     os << "feasible: " << (result.feasible ? "yes" : "no") << '\n';
     if (result.comm_cost == kMaxValue)
@@ -14,7 +14,7 @@ std::string describe(const MappingResult& result, const graph::CoreGraph& graph,
         os << "comm cost: " << result.comm_cost << " hops*MB/s\n";
     os << "peak link load: " << noc::max_load(result.loads) << " MB/s\n";
     os << "evaluations: " << result.evaluations << '\n';
-    os << result.mapping.to_string(graph, topo);
+    os << result.mapping.to_string(graph, ctx.topology());
     return os.str();
 }
 

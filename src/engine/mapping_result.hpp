@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/core_graph.hpp"
+#include "noc/eval_context.hpp"
 #include "noc/evaluation.hpp"
 #include "noc/mapping.hpp"
 
@@ -41,6 +42,6 @@ struct MappingResult {
 
 /// Human-readable report (placement + cost + peak load).
 std::string describe(const MappingResult& result, const graph::CoreGraph& graph,
-                     const noc::Topology& topo);
+                     const noc::EvalContext& ctx);
 
 } // namespace nocmap::engine

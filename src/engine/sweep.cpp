@@ -211,14 +211,10 @@ SweepOutcome SwapSweepDriver::sweep(const noc::Mapping& initial, SweepPolicy& po
     return outcome;
 }
 
-namespace {
-
-AnnealOutcome anneal_impl(const graph::CoreGraph& graph, const noc::Topology& topo,
-                          const noc::EvalContext* ctx, const noc::Mapping& initial,
-                          const AnnealOptions& options) {
+AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                     const noc::Mapping& initial, const AnnealOptions& options) {
     AnnealOutcome outcome;
-    IncrementalEvaluator current = ctx ? IncrementalEvaluator(graph, *ctx, initial)
-                                       : IncrementalEvaluator(graph, topo, initial);
+    IncrementalEvaluator current(graph, ctx, initial);
     // Bandwidth-aware walks route alongside the Eq.7 bookkeeping: the
     // router's O(deg) rip-up-and-reroute keeps per-move feasibility checks
     // affordable where a full shortestpath() re-route per move would not be.
@@ -229,17 +225,14 @@ AnnealOutcome anneal_impl(const graph::CoreGraph& graph, const noc::Topology& to
         // full-re-route confirm per quick infeasible verdict would make
         // every move in the infeasible region cost a full re-route.
         reroute.confirm_infeasible = false;
-        if (ctx)
-            router.emplace(graph, *ctx, initial, reroute);
-        else
-            router.emplace(graph, topo, initial, reroute);
+        router.emplace(graph, ctx, initial, reroute);
     }
     outcome.best = current.mapping();
     outcome.best_cost = current.cost();
     outcome.best_feasible = !router || router->feasible();
 
     util::Rng rng(options.seed);
-    const auto tiles = topo.tile_count();
+    const auto tiles = ctx.tile_count();
     const std::size_t moves = options.moves_per_temperature
                                   ? options.moves_per_temperature
                                   : 8 * tiles * tiles;
@@ -303,18 +296,6 @@ AnnealOutcome anneal_impl(const graph::CoreGraph& graph, const noc::Topology& to
         temperature *= options.cooling;
     }
     return outcome;
-}
-
-} // namespace
-
-AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::Topology& topo,
-                     const noc::Mapping& initial, const AnnealOptions& options) {
-    return anneal_impl(graph, topo, nullptr, initial, options);
-}
-
-AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                     const noc::Mapping& initial, const AnnealOptions& options) {
-    return anneal_impl(graph, ctx.topology(), &ctx, initial, options);
 }
 
 } // namespace nocmap::engine

@@ -194,13 +194,9 @@ private:
 
 /// Runs the Metropolis walk minimizing the Eq.7 cost with incremental
 /// deltas (the SA baseline's loop). Deterministic for a fixed options.seed.
-/// A free function: it shares the engine's IncrementalEvaluator but none of
-/// the sweep driver's options.
-AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::Topology& topo,
-                     const noc::Mapping& initial, const AnnealOptions& options);
-
-/// Context-threaded walk: the evaluator (and the bandwidth-aware router,
-/// when enabled) read the shared flat tables. Bit-identical outcome.
+/// A free function: it shares the engine's IncrementalEvaluator (and, when
+/// bandwidth-aware, the IncrementalRouter) but none of the sweep driver's
+/// options.
 AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                      const noc::Mapping& initial, const AnnealOptions& options);
 

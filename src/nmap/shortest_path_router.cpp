@@ -7,14 +7,12 @@
 
 namespace nocmap::nmap {
 
-namespace {
-
-SinglePathRouting route_with_oracle(const noc::DistanceOracle& oracle,
-                                    const std::vector<noc::Commodity>& commodities) {
-    const noc::Topology& topo = oracle.topo;
+SinglePathRouting route_single_min_paths(const noc::EvalContext& ctx,
+                                         const std::vector<noc::Commodity>& commodities) {
+    const noc::Topology& fabric = ctx.topology();
     SinglePathRouting result;
     result.routes.assign(commodities.size(), {});
-    result.loads.assign(topo.link_count(), 0.0);
+    result.loads.assign(fabric.link_count(), 0.0);
 
     // Route in decreasing-value order (paper: "sort commodities in D with
     // decreasing comm costs"); remember original slots.
@@ -22,7 +20,7 @@ SinglePathRouting route_with_oracle(const noc::DistanceOracle& oracle,
     for (const std::size_t slot : noc::routing_order(commodities)) {
         const noc::Commodity& c = commodities[slot];
         noc::Route route = noc::least_congested_min_path(
-            oracle, c.src_tile, c.dst_tile,
+            ctx, c.src_tile, c.dst_tile,
             [&](noc::LinkId l) { return result.loads[static_cast<std::size_t>(l)]; },
             scratch);
         for (const noc::LinkId l : route)
@@ -31,30 +29,9 @@ SinglePathRouting route_with_oracle(const noc::DistanceOracle& oracle,
     }
 
     result.max_load = noc::max_load(result.loads);
-    result.feasible = noc::satisfies_bandwidth(topo, result.loads);
-    if (!result.feasible)
-        result.cost = kMaxValue;
-    else
-        result.cost = oracle.ctx ? noc::communication_cost(*oracle.ctx, commodities)
-                                 : noc::communication_cost(topo, commodities);
+    result.feasible = noc::satisfies_bandwidth(fabric, result.loads);
+    result.cost = result.feasible ? noc::communication_cost(ctx, commodities) : kMaxValue;
     return result;
-}
-
-} // namespace
-
-SinglePathRouting route_single_min_paths(const noc::Topology& topo,
-                                         const std::vector<noc::Commodity>& commodities) {
-    return route_with_oracle(noc::DistanceOracle{topo, nullptr}, commodities);
-}
-
-SinglePathRouting route_single_min_paths(const noc::EvalContext& ctx,
-                                         const std::vector<noc::Commodity>& commodities) {
-    return route_with_oracle(noc::DistanceOracle{ctx.topology(), &ctx}, commodities);
-}
-
-SinglePathRouting evaluate_mapping(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const noc::Mapping& mapping) {
-    return route_single_min_paths(topo, noc::build_commodities(graph, mapping));
 }
 
 SinglePathRouting evaluate_mapping(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
@@ -62,10 +39,9 @@ SinglePathRouting evaluate_mapping(const graph::CoreGraph& graph, const noc::Eva
     return route_single_min_paths(ctx, noc::build_commodities(graph, mapping));
 }
 
-namespace {
-
-MappingResult result_from_routing(SinglePathRouting routed, noc::Mapping mapping,
-                                  std::size_t evaluations) {
+MappingResult scored_result(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                            noc::Mapping mapping, std::size_t evaluations) {
+    SinglePathRouting routed = evaluate_mapping(graph, ctx, mapping);
     MappingResult result;
     result.mapping = std::move(mapping);
     result.comm_cost = routed.cost;
@@ -73,20 +49,6 @@ MappingResult result_from_routing(SinglePathRouting routed, noc::Mapping mapping
     result.loads = std::move(routed.loads);
     result.evaluations = evaluations;
     return result;
-}
-
-} // namespace
-
-MappingResult scored_result(const graph::CoreGraph& graph, const noc::Topology& topo,
-                            noc::Mapping mapping, std::size_t evaluations) {
-    SinglePathRouting routed = evaluate_mapping(graph, topo, mapping);
-    return result_from_routing(std::move(routed), std::move(mapping), evaluations);
-}
-
-MappingResult scored_result(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                            noc::Mapping mapping, std::size_t evaluations) {
-    SinglePathRouting routed = evaluate_mapping(graph, ctx, mapping);
-    return result_from_routing(std::move(routed), std::move(mapping), evaluations);
 }
 
 } // namespace nocmap::nmap

@@ -21,7 +21,6 @@
 #include "noc/eval_context.hpp"
 #include "noc/evaluation.hpp"
 #include "noc/routing.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::nmap {
 
@@ -38,26 +37,19 @@ struct SinglePathRouting {
 
 /// Routes all commodities; `commodities` keeps the caller's order, routing
 /// happens internally in decreasing-value order (noc::routing_order).
-SinglePathRouting route_single_min_paths(const noc::Topology& topo,
-                                         const std::vector<noc::Commodity>& commodities);
-
-/// Context-threaded routing: distance and quadrant queries of the Dijkstra
-/// inner loop hit the context's flat table. Identical routes and loads.
+/// Distance and quadrant queries of the Dijkstra inner loop hit the
+/// context's flat table.
 SinglePathRouting route_single_min_paths(const noc::EvalContext& ctx,
                                          const std::vector<noc::Commodity>& commodities);
 
 /// Full shortestpath() evaluation of a complete mapping: builds the
 /// commodity set and routes it. The scoring path shared by every
 /// single-path mapper (and the sweep policies' feasibility re-check).
-SinglePathRouting evaluate_mapping(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const noc::Mapping& mapping);
 SinglePathRouting evaluate_mapping(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const noc::Mapping& mapping);
 
 /// Standard MappingResult for a finished single-path mapper: scores
 /// `mapping` with evaluate_mapping() and fills cost/feasibility/loads.
-MappingResult scored_result(const graph::CoreGraph& graph, const noc::Topology& topo,
-                            noc::Mapping mapping, std::size_t evaluations = 1);
 MappingResult scored_result(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                             noc::Mapping mapping, std::size_t evaluations = 1);
 

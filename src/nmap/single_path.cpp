@@ -37,9 +37,9 @@ namespace {
 /// (evaluate/on_rebase); clones re-copy when their version falls behind.
 class SinglePathPolicy final : public engine::SweepPolicy {
 public:
-    SinglePathPolicy(const graph::CoreGraph& graph, const noc::Topology& topo,
-                     const SinglePathOptions& options, const noc::EvalContext* ctx = nullptr)
-        : graph_(graph), topo_(topo), ctx_(ctx), eval_(options.eval),
+    SinglePathPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                     const SinglePathOptions& options)
+        : graph_(graph), ctx_(ctx), eval_(options.eval),
           clone_per_thread_(options.threads != 1), reroute_(options.reroute) {
         reroute_.mode = eval_ == SweepEval::LedgerFast ? engine::RerouteMode::Fast
                                                        : engine::RerouteMode::Exact;
@@ -83,10 +83,7 @@ public:
     void on_rebase(const noc::Mapping& placed, const engine::Score&) override {
         if (eval_ == SweepEval::Naive) return;
         if (!evaluator_) {
-            if (ctx_)
-                evaluator_.emplace(graph_, *ctx_, placed);
-            else
-                evaluator_.emplace(graph_, topo_, placed);
+            evaluator_.emplace(graph_, ctx_, placed);
         } else {
             evaluator_->rebase(placed);
         }
@@ -106,12 +103,7 @@ private:
 
     void sync_master(const noc::Mapping& mapping) {
         if (!master_) {
-            if (ctx_)
-                master_ = std::make_unique<engine::IncrementalRouter>(graph_, *ctx_, mapping,
-                                                                      reroute_);
-            else
-                master_ = std::make_unique<engine::IncrementalRouter>(graph_, topo_, mapping,
-                                                                      reroute_);
+            master_ = std::make_unique<engine::IncrementalRouter>(graph_, ctx_, mapping, reroute_);
         } else {
             master_->rebase(mapping);
         }
@@ -143,14 +135,12 @@ private:
     }
 
     engine::Score route(const noc::Mapping& mapping) const {
-        const SinglePathRouting routed = ctx_ ? evaluate_mapping(graph_, *ctx_, mapping)
-                                              : evaluate_mapping(graph_, topo_, mapping);
+        const SinglePathRouting routed = evaluate_mapping(graph_, ctx_, mapping);
         return engine::Score{routed.cost, routed.max_load, routed.feasible};
     }
 
     const graph::CoreGraph& graph_;
-    const noc::Topology& topo_;
-    const noc::EvalContext* ctx_;
+    const noc::EvalContext& ctx_;
     const SweepEval eval_;
     const bool clone_per_thread_;
     engine::RerouteOptions reroute_;
@@ -166,36 +156,26 @@ private:
     std::unordered_map<std::thread::id, Clone> clones_;
 };
 
-MappingResult run_single_path(const graph::CoreGraph& graph, const noc::Topology& topo,
-                              const noc::EvalContext* ctx, const SinglePathOptions& options) {
-    SinglePathPolicy policy(graph, topo, options, ctx);
+} // namespace
+
+MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                                   const SinglePathOptions& options) {
+    SinglePathPolicy policy(graph, ctx, options);
     engine::SweepOptions sweep;
     sweep.max_sweeps = options.max_sweeps;
     sweep.threads = options.threads;
     sweep.cancel = options.cancel;
     engine::SwapSweepDriver driver(sweep);
 
-    const engine::SweepOutcome outcome = driver.sweep(initial_mapping(graph, topo), policy);
+    const engine::SweepOutcome outcome =
+        driver.sweep(initial_mapping(graph, ctx.topology()), policy);
     util::log_debug("nmap") << "sweeps " << outcome.sweeps << " best cost "
                             << outcome.best_score.primary << " router dijkstras "
                             << policy.router_dijkstras();
     // One final re-route of the winner (its loads are not carried through
     // the generic Score); deterministic, so identical to the sweep's own
     // evaluation of that mapping in the sequential-routing modes.
-    if (ctx) return scored_result(graph, *ctx, outcome.best, policy.evaluations());
-    return scored_result(graph, topo, outcome.best, policy.evaluations());
-}
-
-} // namespace
-
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const SinglePathOptions& options) {
-    return run_single_path(graph, topo, nullptr, options);
-}
-
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                   const SinglePathOptions& options) {
-    return run_single_path(graph, ctx.topology(), &ctx, options);
+    return scored_result(graph, ctx, outcome.best, policy.evaluations());
 }
 
 } // namespace nocmap::nmap

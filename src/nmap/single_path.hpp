@@ -11,7 +11,6 @@
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::nmap {
 
@@ -56,14 +55,8 @@ struct SinglePathOptions {
 
 /// Runs NMAP with single minimum-path routing. The returned mapping is the
 /// best one encountered; `feasible`/`comm_cost` reflect its shortestpath()
-/// evaluation under the topology's link capacities.
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const SinglePathOptions& options = {});
-
-/// Context-threaded run: the incremental evaluator and the shortestpath()
-/// router read the shared context's precomputed tables instead of
-/// recomputing distances per call. Bit-identical mapping and cost; the
-/// context must outlive the call.
+/// evaluation under the topology's link capacities. The incremental
+/// evaluator and the router read the context's precomputed tables.
 MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const SinglePathOptions& options = {});
 

@@ -107,7 +107,7 @@ public:
     void on_rebase(const noc::Mapping& placed, const engine::Score&) override {
         if (!routing_prefilter_ || bw_satisfied_) return;
         if (!router_)
-            router_.emplace(graph_, ctx_.topology(), placed);
+            router_.emplace(graph_, ctx_, placed);
         else
             router_->rebase(placed);
     }
@@ -120,7 +120,7 @@ private:
     bool routed_feasible(const noc::Mapping& base, noc::TileId a, noc::TileId b) {
         if (!routing_prefilter_) return false;
         if (!router_)
-            router_.emplace(graph_, ctx_.topology(), base);
+            router_.emplace(graph_, ctx_, base);
         if (a == noc::kInvalidTile) return router_->feasible();
         const bool feasible = router_->reroute_swap(a, b).feasible;
         router_->rollback();
@@ -267,12 +267,6 @@ MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalC
     result.loads = final_slack.loads;
     result.flows = final_slack.flows;
     return result;
-}
-
-MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                 const SplitOptions& options) {
-    const noc::EvalContext ctx = noc::EvalContext::borrow(topo);
-    return map_with_splitting(graph, ctx, options);
 }
 
 } // namespace nocmap::nmap

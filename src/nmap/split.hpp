@@ -14,7 +14,7 @@
 #include "graph/core_graph.hpp"
 #include "lp/mcf.hpp"
 #include "nmap/result.hpp"
-#include "noc/topology.hpp"
+#include "noc/eval_context.hpp"
 
 namespace nocmap::nmap {
 
@@ -77,13 +77,8 @@ struct SplitOptions {
 
 /// Runs NMAP with split-traffic routing. `comm_cost` is the MCF2 objective
 /// (total flow = bandwidth-weighted hops); `flows` carries the per-commodity
-/// split so routing tables can be generated.
-MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                 const SplitOptions& options = {});
-
-/// Context-threaded variant: quadrant construction and the MCF engines use
-/// the shared EvalContext; the topology overload wraps a borrowed context.
-/// Bit-identical to the topology overload for every option set.
+/// split so routing tables can be generated. Quadrant construction and the
+/// MCF engines read the context's tables.
 MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                  const SplitOptions& options = {});
 

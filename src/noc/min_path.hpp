@@ -17,26 +17,8 @@
 
 #include "noc/eval_context.hpp"
 #include "noc/routing.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::noc {
-
-/// Distance/quadrant queries of the router's inner loop: the context's flat
-/// table when a shared EvalContext is threaded through, the topology's own
-/// arithmetic otherwise. Both agree exactly (EvalContext::in_quadrant is
-/// equivalent to Topology::in_quadrant for every kind), so the two paths
-/// pick identical routes.
-struct DistanceOracle {
-    const Topology& topo;
-    const EvalContext* ctx = nullptr;
-
-    std::int32_t distance(TileId a, TileId b) const {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    }
-    bool in_quadrant(TileId t, TileId a, TileId b) const {
-        return ctx ? ctx->in_quadrant(t, a, b) : topo.in_quadrant(t, a, b);
-    }
-};
 
 /// Reusable buffers for least_congested_min_path: hot-path callers run one
 /// Dijkstra per commodity and per candidate swap, where per-call vector
@@ -49,11 +31,12 @@ struct MinPathScratch {
 /// Dijkstra restricted to the quadrant of (src, dst), edge weight =
 /// weight(link). Returns the link sequence of the least-congested minimal
 /// path (empty when src == dst). `weight` is called at most once per
-/// directed link per search.
+/// directed link per search. Distance and quadrant queries read the
+/// context's flat table.
 template <typename WeightFn>
-Route least_congested_min_path(const DistanceOracle& oracle, TileId src, TileId dst,
+Route least_congested_min_path(const EvalContext& ctx, TileId src, TileId dst,
                                WeightFn&& weight, MinPathScratch& scratch) {
-    const Topology& topo = oracle.topo;
+    const Topology& topo = ctx.topology();
     const std::size_t n = topo.tile_count();
     scratch.dist.assign(n, std::numeric_limits<double>::infinity());
     scratch.prev_link.assign(n, kInvalidLink);
@@ -69,10 +52,10 @@ Route least_congested_min_path(const DistanceOracle& oracle, TileId src, TileId 
         for (const LinkId l : topo.out_links(u)) {
             const Link& link = topo.link(l);
             // Stay inside the quadrant: both endpoints on a minimal path.
-            if (!oracle.in_quadrant(link.dst, src, dst)) continue;
+            if (!ctx.in_quadrant(link.dst, src, dst)) continue;
             // Only move *toward* the destination (monotone progress keeps
             // the path minimal even inside the quadrant).
-            if (oracle.distance(link.dst, dst) >= oracle.distance(u, dst)) continue;
+            if (ctx.distance(link.dst, dst) >= ctx.distance(u, dst)) continue;
             const double nd = d + weight(l);
             if (nd < scratch.dist[static_cast<std::size_t>(link.dst)]) {
                 scratch.dist[static_cast<std::size_t>(link.dst)] = nd;

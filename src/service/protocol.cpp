@@ -172,8 +172,8 @@ Request parse_request(const std::string& line) {
         request.map.topologies = get_string(doc, "topologies", "");
         request.map.mapper = get_string(doc, "mapper", "");
         request.map.bandwidth = get_number(doc, "bandwidth", 0.0);
-        if (request.map.bandwidth < 0.0)
-            throw std::invalid_argument("'bandwidth' must be >= 0");
+        if (!std::isfinite(request.map.bandwidth) || request.map.bandwidth < 0.0)
+            throw std::invalid_argument("'bandwidth' must be finite and >= 0");
         const double seed = get_number(doc, "seed", 0.0);
         // Bound first (2^53, the largest exact double integer): casting an
         // out-of-range double is undefined behavior, and a JSON number
@@ -218,7 +218,8 @@ Request parse_request(const std::string& line) {
             if (s.topology.empty())
                 throw std::invalid_argument("shard-map scenarios need a 'topology'");
             s.bandwidth = get_number(entry, "bandwidth", 1e9);
-            if (s.bandwidth <= 0.0) throw std::invalid_argument("'bandwidth' must be > 0");
+            if (!std::isfinite(s.bandwidth) || s.bandwidth <= 0.0)
+                throw std::invalid_argument("'bandwidth' must be finite and > 0");
             s.mapper = get_string(entry, "mapper", "nmap");
             s.params = parse_params_object(entry);
             s.eval = parse_params_object(entry, "eval");

@@ -12,8 +12,8 @@ namespace {
 
 TEST(Annealing, ProducesValidCompleteMapping) {
     const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto result = annealing_map(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 4, 1e9));
+    const auto result = annealing_map(g, ctx);
     EXPECT_TRUE(result.mapping.is_complete());
     EXPECT_NO_THROW(result.mapping.validate());
     EXPECT_TRUE(result.feasible);
@@ -22,30 +22,31 @@ TEST(Annealing, ProducesValidCompleteMapping) {
 TEST(Annealing, ImprovesOnInitialPlacement) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const double init_cost = noc::communication_cost(
         topo, noc::build_commodities(g, nmap::initial_mapping(g, topo)));
-    const auto result = annealing_map(g, topo);
+    const auto result = annealing_map(g, ctx);
     EXPECT_LE(result.comm_cost, init_cost + 1e-9);
 }
 
 TEST(Annealing, DeterministicForFixedSeed) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 2, 1e9));
     AnnealingOptions opt;
     opt.seed = 11;
-    const auto a = annealing_map(g, topo, opt);
-    const auto b = annealing_map(g, topo, opt);
+    const auto a = annealing_map(g, ctx, opt);
+    const auto b = annealing_map(g, ctx, opt);
     EXPECT_EQ(a.mapping, b.mapping);
 }
 
 TEST(Annealing, SeedChangesTrajectory) {
     const auto g = apps::make_application("mwag");
-    const auto topo = noc::Topology::mesh(4, 4, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 4, 1e9));
     AnnealingOptions a_opt, b_opt;
     a_opt.seed = 1;
     b_opt.seed = 2;
-    const auto a = annealing_map(g, topo, a_opt);
-    const auto b = annealing_map(g, topo, b_opt);
+    const auto a = annealing_map(g, ctx, a_opt);
+    const auto b = annealing_map(g, ctx, b_opt);
     // Costs may coincide, but both must be valid; mappings usually differ.
     EXPECT_TRUE(a.mapping.is_complete());
     EXPECT_TRUE(b.mapping.is_complete());
@@ -54,7 +55,8 @@ TEST(Annealing, SeedChangesTrajectory) {
 TEST(Annealing, CostMatchesIndependentEvaluation) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto result = annealing_map(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = annealing_map(g, ctx);
     EXPECT_NEAR(result.comm_cost,
                 noc::communication_cost(topo, noc::build_commodities(g, result.mapping)),
                 1e-9);
@@ -63,8 +65,8 @@ TEST(Annealing, CostMatchesIndependentEvaluation) {
 TEST(Annealing, HandlesSingleCore) {
     graph::CoreGraph g;
     g.add_node("solo");
-    const auto topo = noc::Topology::mesh(2, 2, 1e9);
-    const auto result = annealing_map(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(2, 2, 1e9));
+    const auto result = annealing_map(g, ctx);
     EXPECT_TRUE(result.mapping.is_complete());
     EXPECT_DOUBLE_EQ(result.comm_cost, 0.0);
 }

@@ -11,8 +11,8 @@ namespace {
 TEST(Gmap, CompleteValidMapping) {
     for (const char* app : {"vopd", "mpeg4", "pip", "mwa", "mwag", "dsd"}) {
         const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        const auto placement = gmap_placement(g, topo);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+        const auto placement = gmap_placement(g, ctx);
         EXPECT_TRUE(placement.is_complete()) << app;
         EXPECT_NO_THROW(placement.validate()) << app;
     }
@@ -20,8 +20,8 @@ TEST(Gmap, CompleteValidMapping) {
 
 TEST(Gmap, ResultFeasibleWithAmpleCapacity) {
     const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto result = gmap_map(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 4, 1e9));
+    const auto result = gmap_map(g, ctx);
     EXPECT_TRUE(result.feasible);
     EXPECT_LT(result.comm_cost, 1e12);
     EXPECT_GE(result.comm_cost, g.total_bandwidth());
@@ -30,7 +30,8 @@ TEST(Gmap, ResultFeasibleWithAmpleCapacity) {
 TEST(Gmap, FirstCoreOnMaxDegreeTile) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto placement = gmap_placement(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto placement = gmap_placement(g, ctx);
     graph::NodeId heaviest = 0;
     double best = -1.0;
     for (std::size_t v = 0; v < g.node_count(); ++v) {
@@ -45,14 +46,14 @@ TEST(Gmap, FirstCoreOnMaxDegreeTile) {
 
 TEST(Gmap, Deterministic) {
     const auto g = apps::make_application("dsd");
-    const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    EXPECT_EQ(gmap_placement(g, topo), gmap_placement(g, topo));
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 4, 1e9));
+    EXPECT_EQ(gmap_placement(g, ctx), gmap_placement(g, ctx));
 }
 
 TEST(Gmap, ThrowsOnOversizedGraph) {
     const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    EXPECT_THROW(gmap_placement(g, topo), std::invalid_argument);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 3, 1e9));
+    EXPECT_THROW(gmap_placement(g, ctx), std::invalid_argument);
 }
 
 TEST(Gmap, AdjacentPairForTrivialGraph) {
@@ -61,7 +62,8 @@ TEST(Gmap, AdjacentPairForTrivialGraph) {
     g.add_node("b");
     g.add_edge("a", "b", 42);
     const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    const auto placement = gmap_placement(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto placement = gmap_placement(g, ctx);
     EXPECT_EQ(topo.distance(placement.tile_of(0), placement.tile_of(1)), 1);
 }
 

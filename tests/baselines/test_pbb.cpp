@@ -51,11 +51,12 @@ TEST(Pbb, ExactOnTinyInstance) {
     g.add_edge("c", "d", 80);
     g.add_edge("d", "a", 20);
     const auto topo = noc::Topology::mesh(2, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     PbbOptions opt;
     opt.queue_capacity = 0;
     opt.max_expansions = 0;
     PbbStats stats;
-    const auto result = pbb_map(g, topo, opt, &stats);
+    const auto result = pbb_map(g, ctx, opt, &stats);
     EXPECT_TRUE(stats.exhausted);
     EXPECT_NEAR(result.comm_cost, brute_force_cost(g, topo), 1e-9);
 }
@@ -63,24 +64,25 @@ TEST(Pbb, ExactOnTinyInstance) {
 TEST(Pbb, ExactOnDspSixCores) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     PbbOptions opt;
     opt.queue_capacity = 0;
     opt.max_expansions = 0;
     PbbStats stats;
-    const auto result = pbb_map(g, topo, opt, &stats);
+    const auto result = pbb_map(g, ctx, opt, &stats);
     EXPECT_TRUE(stats.exhausted);
     EXPECT_NEAR(result.comm_cost, brute_force_cost(g, topo), 1e-9);
 }
 
 TEST(Pbb, CappedQueueNeverBeatsExact) {
     const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 2, 1e9));
     PbbOptions exact;
     exact.queue_capacity = 0;
-    const auto opt = pbb_map(g, topo, exact);
+    const auto opt = pbb_map(g, ctx, exact);
     PbbOptions capped;
     capped.queue_capacity = 8;
-    const auto partial = pbb_map(g, topo, capped);
+    const auto partial = pbb_map(g, ctx, capped);
     EXPECT_GE(partial.comm_cost, opt.comm_cost - 1e-9);
     EXPECT_TRUE(partial.mapping.is_complete());
 }
@@ -88,23 +90,24 @@ TEST(Pbb, CappedQueueNeverBeatsExact) {
 TEST(Pbb, NeverWorseThanItsGreedyIncumbent) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     PbbOptions opt;
     opt.queue_capacity = 2000;
     opt.max_expansions = 20000;
-    const auto pbb = pbb_map(g, topo, opt);
+    const auto pbb = pbb_map(g, ctx, opt);
     const auto greedy_cost = noc::communication_cost(
-        topo, noc::build_commodities(g, gmap_placement(g, topo)));
+        topo, noc::build_commodities(g, gmap_placement(g, ctx)));
     EXPECT_LE(pbb.comm_cost, greedy_cost + 1e-9);
 }
 
 TEST(Pbb, StatsArePopulated) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 2, 1e9));
     PbbStats stats;
     PbbOptions opt;
     opt.queue_capacity = 64;
     opt.max_expansions = 3000;
-    pbb_map(g, topo, opt, &stats);
+    pbb_map(g, ctx, opt, &stats);
     EXPECT_GT(stats.expansions, 0u);
     EXPECT_GT(stats.generated, stats.expansions);
 }
@@ -114,24 +117,24 @@ TEST(Pbb, RespectsExpansionBudget) {
     cfg.core_count = 25;
     cfg.seed = 4;
     const auto g = generate_random_core_graph(cfg);
-    const auto topo = noc::Topology::smallest_mesh_for(25, 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(25, 1e9));
     PbbStats stats;
     PbbOptions opt;
     opt.queue_capacity = 512;
     opt.max_expansions = 500;
-    const auto result = pbb_map(g, topo, opt, &stats);
+    const auto result = pbb_map(g, ctx, opt, &stats);
     EXPECT_LE(stats.expansions, 500u);
     EXPECT_TRUE(result.mapping.is_complete()); // incumbent always complete
 }
 
 TEST(Pbb, Deterministic) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 2, 1e9));
     PbbOptions opt;
     opt.queue_capacity = 128;
     opt.max_expansions = 2000;
-    const auto a = pbb_map(g, topo, opt);
-    const auto b = pbb_map(g, topo, opt);
+    const auto a = pbb_map(g, ctx, opt);
+    const auto b = pbb_map(g, ctx, opt);
     EXPECT_EQ(a.mapping, b.mapping);
 }
 

@@ -22,7 +22,8 @@ TEST(IncrementalEvaluator, DeltasMatchFullRecomputationOnRandomGraphs) {
         cfg.seed = seed;
         const auto g = generate_random_core_graph(cfg);
         const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        IncrementalEvaluator eval(g, topo, nmap::initial_mapping(g, topo));
+        const auto ctx = noc::EvalContext::borrow(topo);
+        IncrementalEvaluator eval(g, ctx, nmap::initial_mapping(g, topo));
 
         util::Rng rng(seed * 1000 + 5);
         for (int step = 0; step < 200; ++step) {
@@ -64,7 +65,8 @@ TEST(IncrementalEvaluator, HandlesSwapsWithEmptyTiles) {
     cfg.seed = 3;
     const auto g = generate_random_core_graph(cfg);
     const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    IncrementalEvaluator eval(g, topo, nmap::initial_mapping(g, topo));
+    const auto ctx = noc::EvalContext::borrow(topo);
+    IncrementalEvaluator eval(g, ctx, nmap::initial_mapping(g, topo));
 
     util::Rng rng(99);
     for (int step = 0; step < 100; ++step) {
@@ -90,7 +92,8 @@ TEST(IncrementalEvaluator, SwapDeltaOfTwoEmptyTilesIsZero) {
     g.add_node("b");
     g.add_edge("a", "b", 64.0);
     const auto topo = noc::Topology::mesh(2, 2, 1e9);
-    IncrementalEvaluator eval(g, topo, nmap::initial_mapping(g, topo));
+    const auto ctx = noc::EvalContext::borrow(topo);
+    IncrementalEvaluator eval(g, ctx, nmap::initial_mapping(g, topo));
     // Find the two unoccupied tiles.
     std::vector<noc::TileId> empty;
     for (std::size_t t = 0; t < topo.tile_count(); ++t)
@@ -103,7 +106,8 @@ TEST(IncrementalEvaluator, SwapDeltaOfTwoEmptyTilesIsZero) {
 TEST(IncrementalEvaluator, RebaseResyncsToNewMapping) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
-    IncrementalEvaluator eval(g, topo, nmap::initial_mapping(g, topo));
+    const auto ctx = noc::EvalContext::borrow(topo);
+    IncrementalEvaluator eval(g, ctx, nmap::initial_mapping(g, topo));
     noc::Mapping other = nmap::initial_mapping(g, topo);
     other.swap_tiles(0, 5);
     eval.rebase(other);
@@ -115,8 +119,9 @@ TEST(IncrementalEvaluator, RebaseResyncsToNewMapping) {
 TEST(IncrementalEvaluator, RejectsIncompleteMapping) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     noc::Mapping incomplete(g.node_count(), topo.tile_count());
-    EXPECT_THROW(IncrementalEvaluator(g, topo, incomplete), std::invalid_argument);
+    EXPECT_THROW(IncrementalEvaluator(g, ctx, incomplete), std::invalid_argument);
 }
 
 } // namespace

@@ -35,9 +35,9 @@ std::pair<noc::TileId, noc::TileId> random_swap(util::Rng& rng, const noc::Mappi
 }
 
 void expect_matches_full_reroute(const IncrementalRouter& router,
-                                 const graph::CoreGraph& graph, const noc::Topology& topo,
+                                 const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                  const char* what) {
-    const nmap::SinglePathRouting full = nmap::evaluate_mapping(graph, topo, router.mapping());
+    const nmap::SinglePathRouting full = nmap::evaluate_mapping(graph, ctx, router.mapping());
     EXPECT_EQ(router.loads(), full.loads) << what;
     EXPECT_EQ(router.routes(), full.routes) << what;
     EXPECT_EQ(router.feasible(), full.feasible) << what;
@@ -63,17 +63,18 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
     for (const Case& c : cases) {
         const auto g = random_graph(c.cores, c.seed);
         auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto ctx = noc::EvalContext::borrow(topo);
         const auto initial = nmap::initial_mapping(g, topo);
         topo.set_uniform_capacity(
-            noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) *
+            noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) *
             c.capacity_scale);
 
         RerouteOptions options;
         options.mode = RerouteMode::Exact;
         options.resync_cadence = 7; // frequent audits
         options.audit = true;
-        IncrementalRouter router(g, topo, initial, options);
-        expect_matches_full_reroute(router, g, topo, "after bind");
+        IncrementalRouter router(g, ctx, initial, options);
+        expect_matches_full_reroute(router, g, ctx, "after bind");
 
         util::Rng rng(c.seed * 977 + 1);
         for (int step = 0; step < 60; ++step) {
@@ -82,7 +83,7 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
             // The pending score is the full re-route of the candidate.
             noc::Mapping candidate = router.mapping();
             candidate.swap_tiles(a, b);
-            const nmap::SinglePathRouting full = nmap::evaluate_mapping(g, topo, candidate);
+            const nmap::SinglePathRouting full = nmap::evaluate_mapping(g, ctx, candidate);
             EXPECT_EQ(eval.feasible, full.feasible) << "step " << step;
             EXPECT_EQ(eval.max_load, full.max_load) << "step " << step;
             EXPECT_EQ(eval.cost, full.cost) << "step " << step;
@@ -91,39 +92,18 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
             } else {
                 ASSERT_NO_THROW(router.commit()) << "audit diverged at step " << step;
             }
-            expect_matches_full_reroute(router, g, topo, "after step");
+            expect_matches_full_reroute(router, g, ctx, "after step");
         }
         EXPECT_GT(router.commit_count(), 30u);
-    }
-}
-
-TEST(IncrementalRouter, ExactContextThreadedMatchesPlain) {
-    const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const noc::EvalContext ctx(topo);
-    const auto initial = nmap::initial_mapping(g, topo);
-    IncrementalRouter plain(g, topo, initial);
-    IncrementalRouter threaded(g, ctx, initial);
-    util::Rng rng(42);
-    for (int step = 0; step < 40; ++step) {
-        const auto [a, b] = random_swap(rng, plain.mapping());
-        const RerouteEval ep = plain.reroute_swap(a, b);
-        const RerouteEval et = threaded.reroute_swap(a, b);
-        EXPECT_EQ(ep.cost, et.cost);
-        EXPECT_EQ(ep.max_load, et.max_load);
-        EXPECT_EQ(ep.feasible, et.feasible);
-        plain.commit();
-        threaded.commit();
-        EXPECT_EQ(plain.loads(), threaded.loads());
-        EXPECT_EQ(plain.routes(), threaded.routes());
     }
 }
 
 TEST(IncrementalRouter, RebaseTakesTheSwapShortcutAndStaysExact) {
     const auto g = random_graph(12, 19);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
-    IncrementalRouter router(g, topo, initial);
+    IncrementalRouter router(g, ctx, initial);
     const std::size_t full_before = router.full_reroute_count();
 
     // One swap away: must go through the O(deg) path, no full re-route.
@@ -132,7 +112,7 @@ TEST(IncrementalRouter, RebaseTakesTheSwapShortcutAndStaysExact) {
     router.rebase(swapped);
     EXPECT_EQ(router.full_reroute_count(), full_before);
     EXPECT_EQ(router.mapping(), swapped);
-    expect_matches_full_reroute(router, g, topo, "rebase via swap");
+    expect_matches_full_reroute(router, g, ctx, "rebase via swap");
 
     // Far away (three tiles rotated): needs the from-scratch path.
     noc::Mapping rotated = swapped;
@@ -141,13 +121,14 @@ TEST(IncrementalRouter, RebaseTakesTheSwapShortcutAndStaysExact) {
     router.rebase(rotated);
     EXPECT_GT(router.full_reroute_count(), full_before);
     EXPECT_EQ(router.mapping(), rotated);
-    expect_matches_full_reroute(router, g, topo, "rebase via rebind");
+    expect_matches_full_reroute(router, g, ctx, "rebase via rebind");
 }
 
 TEST(IncrementalRouter, RejectsMisuse) {
     const auto g = random_graph(8, 2);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    IncrementalRouter router(g, topo, nmap::initial_mapping(g, topo));
+    const auto ctx = noc::EvalContext::borrow(topo);
+    IncrementalRouter router(g, ctx, nmap::initial_mapping(g, topo));
     EXPECT_THROW(router.commit(), std::logic_error);
     router.reroute_swap(0, 1);
     EXPECT_THROW(router.reroute_swap(1, 2), std::logic_error);
@@ -162,13 +143,14 @@ TEST(IncrementalRouter, RejectsMisuse) {
 TEST(IncrementalRouter, FastModeInvariants) {
     const auto g = random_graph(16, 23);
     auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     topo.set_uniform_capacity(
-        noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) * 1.02);
+        noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) * 1.02);
 
     RerouteOptions options;
     options.mode = RerouteMode::Fast;
-    IncrementalRouter router(g, topo, initial, options);
+    IncrementalRouter router(g, ctx, initial, options);
     util::Rng rng(99);
     for (int step = 0; step < 80; ++step) {
         const auto [a, b] = random_swap(rng, router.mapping());
@@ -176,7 +158,7 @@ TEST(IncrementalRouter, FastModeInvariants) {
         if (!eval.feasible) {
             noc::Mapping candidate = router.mapping();
             candidate.swap_tiles(a, b);
-            EXPECT_FALSE(nmap::evaluate_mapping(g, topo, candidate).feasible)
+            EXPECT_FALSE(nmap::evaluate_mapping(g, ctx, candidate).feasible)
                 << "fast mode reported infeasible where the full re-route is feasible";
         }
         if (step % 2 == 0)
@@ -209,14 +191,14 @@ nmap::SinglePathOptions with_eval(nmap::SweepEval eval, std::size_t threads = 1,
 TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveSweep) {
     for (const char* app : {"vopd", "mpeg4", "pip", "dsd"}) {
         const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
         const auto naive =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::Naive));
+            nmap::map_with_single_path(g, ctx, with_eval(nmap::SweepEval::Naive));
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             auto opt = with_eval(nmap::SweepEval::LedgerExact, threads);
             opt.reroute.audit = true;
             opt.reroute.resync_cadence = 5;
-            const auto ledger = nmap::map_with_single_path(g, topo, opt);
+            const auto ledger = nmap::map_with_single_path(g, ctx, opt);
             EXPECT_EQ(naive.mapping, ledger.mapping) << app << " threads=" << threads;
             EXPECT_DOUBLE_EQ(naive.comm_cost, ledger.comm_cost) << app;
             EXPECT_EQ(naive.loads, ledger.loads) << app;
@@ -224,7 +206,7 @@ TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveSweep) {
         // Cadence 0 (never resync) must change nothing either.
         auto no_resync = with_eval(nmap::SweepEval::LedgerExact);
         no_resync.reroute.resync_cadence = 0;
-        EXPECT_EQ(naive.mapping, nmap::map_with_single_path(g, topo, no_resync).mapping)
+        EXPECT_EQ(naive.mapping, nmap::map_with_single_path(g, ctx, no_resync).mapping)
             << app;
     }
 }
@@ -232,13 +214,14 @@ TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveSweep) {
 TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveUnderTightCapacities) {
     const auto g = apps::make_application("pip");
     auto topo = noc::Topology::mesh(4, 2, 1e9);
-    const auto unconstrained = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto unconstrained = nmap::map_with_single_path(g, ctx);
     topo.set_uniform_capacity(noc::max_load(unconstrained.loads) * 1.05);
-    const auto naive = nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::Naive));
+    const auto naive = nmap::map_with_single_path(g, ctx, with_eval(nmap::SweepEval::Naive));
     auto opt = with_eval(nmap::SweepEval::LedgerExact);
     opt.reroute.audit = true;
     opt.reroute.resync_cadence = 3;
-    const auto ledger = nmap::map_with_single_path(g, topo, opt);
+    const auto ledger = nmap::map_with_single_path(g, ctx, opt);
     EXPECT_EQ(naive.mapping, ledger.mapping);
     EXPECT_EQ(naive.feasible, ledger.feasible);
     EXPECT_EQ(naive.loads, ledger.loads);
@@ -246,12 +229,12 @@ TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveUnderTightCapacities) {
 
 TEST(IncrementalRouter, LedgerExactMultiSweepParallelMatchesSerial) {
     const auto g = random_graph(30, 11);
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     const auto serial =
-        nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::LedgerExact, 1, 3));
+        nmap::map_with_single_path(g, ctx, with_eval(nmap::SweepEval::LedgerExact, 1, 3));
     for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
         const auto parallel = nmap::map_with_single_path(
-            g, topo, with_eval(nmap::SweepEval::LedgerExact, threads, 3));
+            g, ctx, with_eval(nmap::SweepEval::LedgerExact, threads, 3));
         EXPECT_EQ(serial.mapping, parallel.mapping) << "threads=" << threads;
         EXPECT_DOUBLE_EQ(serial.comm_cost, parallel.comm_cost);
     }
@@ -263,16 +246,16 @@ TEST(IncrementalRouter, LedgerExactMultiSweepParallelMatchesSerial) {
 TEST(IncrementalRouter, LedgerFastSweepIsSoundAndDeterministic) {
     for (const char* app : {"vopd", "pip"}) {
         const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
         const auto serial =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::LedgerFast));
+            nmap::map_with_single_path(g, ctx, with_eval(nmap::SweepEval::LedgerFast));
         EXPECT_TRUE(serial.mapping.is_complete());
         EXPECT_NO_THROW(serial.mapping.validate());
-        const auto rescored = nmap::evaluate_mapping(g, topo, serial.mapping);
+        const auto rescored = nmap::evaluate_mapping(g, ctx, serial.mapping);
         EXPECT_EQ(serial.feasible, rescored.feasible) << app;
         EXPECT_DOUBLE_EQ(serial.comm_cost, rescored.cost) << app;
         const auto parallel =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::LedgerFast, 4));
+            nmap::map_with_single_path(g, ctx, with_eval(nmap::SweepEval::LedgerFast, 4));
         EXPECT_EQ(serial.mapping, parallel.mapping) << app;
     }
 }
@@ -283,12 +266,13 @@ TEST(IncrementalRouter, BandwidthAwareAnnealMatchesPlainWhenCapacityIsAmple) {
     // return the identical mapping.
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     AnnealOptions options;
     options.seed = 17;
-    const AnnealOutcome plain = anneal(g, topo, initial, options);
+    const AnnealOutcome plain = anneal(g, ctx, initial, options);
     options.bandwidth_aware = true;
-    const AnnealOutcome aware = anneal(g, topo, initial, options);
+    const AnnealOutcome aware = anneal(g, ctx, initial, options);
     EXPECT_EQ(plain.best, aware.best);
     EXPECT_DOUBLE_EQ(plain.best_cost, aware.best_cost);
     EXPECT_TRUE(aware.best_feasible);
@@ -297,14 +281,15 @@ TEST(IncrementalRouter, BandwidthAwareAnnealMatchesPlainWhenCapacityIsAmple) {
 TEST(IncrementalRouter, BandwidthAwareAnnealStaysFeasibleUnderTightCapacity) {
     const auto g = apps::make_application("pip");
     auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     topo.set_uniform_capacity(
-        noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) * 1.1);
+        noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) * 1.1);
     AnnealOptions options;
     options.seed = 5;
     options.bandwidth_aware = true;
-    const AnnealOutcome a = anneal(g, topo, initial, options);
-    const AnnealOutcome b = anneal(g, topo, initial, options);
+    const AnnealOutcome a = anneal(g, ctx, initial, options);
+    const AnnealOutcome b = anneal(g, ctx, initial, options);
     EXPECT_EQ(a.best, b.best) << "bandwidth-aware walk must stay deterministic";
     // The initial mapping routes feasibly here and the walk refuses to
     // leave the feasible region (by the router's own accounting — fast
@@ -318,12 +303,12 @@ TEST(IncrementalRouter, SplitRoutingPrefilterMatchesPlainOnAmpleCapacity) {
     // paths (the router trivially, MCF1 with zero slack), so the prefilter
     // must not change any sweep decision.
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 2, 1e9));
     nmap::SplitOptions options;
     options.approx_iterations = 8;
-    const auto plain = nmap::map_with_splitting(g, topo, options);
+    const auto plain = nmap::map_with_splitting(g, ctx, options);
     options.routing_prefilter = true;
-    const auto filtered = nmap::map_with_splitting(g, topo, options);
+    const auto filtered = nmap::map_with_splitting(g, ctx, options);
     EXPECT_EQ(plain.mapping, filtered.mapping);
     EXPECT_DOUBLE_EQ(plain.comm_cost, filtered.comm_cost);
     EXPECT_EQ(plain.feasible, filtered.feasible);

@@ -55,9 +55,9 @@ TEST(Registry, RejectsDuplicateAndEmptyRegistration) {
 /// search-space guard must refuse vopd (16 cores) instead of hanging.
 TEST(Registry, EveryAlgorithmMapsPip) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     for (const std::string& name : registry().names()) {
-        const MappingResult result = map_by_name(name, g, topo);
+        const MappingResult result = map_by_name(name, g, ctx);
         EXPECT_TRUE(result.mapping.is_complete()) << name;
         EXPECT_NO_THROW(result.mapping.validate()) << name;
         EXPECT_TRUE(result.feasible) << name;
@@ -67,13 +67,13 @@ TEST(Registry, EveryAlgorithmMapsPip) {
 
 TEST(Registry, EveryNonExhaustiveAlgorithmMapsVopd) {
     const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     for (const std::string& name : registry().names()) {
         if (name == "exhaustive") {
-            EXPECT_THROW(map_by_name(name, g, topo), std::invalid_argument);
+            EXPECT_THROW(map_by_name(name, g, ctx), std::invalid_argument);
             continue;
         }
-        const MappingResult result = map_by_name(name, g, topo);
+        const MappingResult result = map_by_name(name, g, ctx);
         EXPECT_TRUE(result.mapping.is_complete()) << name;
         EXPECT_TRUE(result.feasible) << name;
     }
@@ -85,47 +85,47 @@ TEST(Registry, EveryNonExhaustiveAlgorithmMapsVopd) {
 TEST(Registry, ByNameResultsMatchDirectCallsOnVopdAndMpeg4) {
     for (const char* app : {"vopd", "mpeg4"}) {
         const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
 
         const auto check = [&](const char* name, const MappingResult& direct) {
-            const MappingResult via_registry = map_by_name(name, g, topo);
+            const MappingResult via_registry = map_by_name(name, g, ctx);
             EXPECT_EQ(via_registry.mapping, direct.mapping) << app << ' ' << name;
             EXPECT_DOUBLE_EQ(via_registry.comm_cost, direct.comm_cost)
                 << app << ' ' << name;
         };
 
-        check("nmap", nmap::map_with_single_path(g, topo));
+        check("nmap", nmap::map_with_single_path(g, ctx));
         nmap::SplitOptions ta;
         ta.mode = nmap::SplitMode::AllPaths;
-        check("nmap-split", nmap::map_with_splitting(g, topo, ta));
+        check("nmap-split", nmap::map_with_splitting(g, ctx, ta));
         nmap::SplitOptions tm;
         tm.mode = nmap::SplitMode::MinPaths;
-        check("nmap-tm", nmap::map_with_splitting(g, topo, tm));
-        check("pmap", baselines::pmap_map(g, topo));
-        check("gmap", baselines::gmap_map(g, topo));
-        check("pbb", baselines::pbb_map(g, topo));
-        check("sa", baselines::annealing_map(g, topo));
+        check("nmap-tm", nmap::map_with_splitting(g, ctx, tm));
+        check("pmap", baselines::pmap_map(g, ctx));
+        check("gmap", baselines::gmap_map(g, ctx));
+        check("pbb", baselines::pbb_map(g, ctx));
+        check("sa", baselines::annealing_map(g, ctx));
     }
 }
 
 TEST(Registry, ExhaustiveMatchesDirectCallOnPip) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto direct = baselines::exhaustive_map(g, topo);
-    const auto via_registry = map_by_name("exhaustive", g, topo);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+    const auto direct = baselines::exhaustive_map(g, ctx);
+    const auto via_registry = map_by_name("exhaustive", g, ctx);
     EXPECT_EQ(via_registry.mapping, direct.mapping);
     EXPECT_DOUBLE_EQ(via_registry.comm_cost, direct.comm_cost);
     // The optimum is a lower bound for every other registered algorithm.
     for (const std::string& name : registry().names())
-        EXPECT_GE(map_by_name(name, g, topo).comm_cost, direct.comm_cost - 1e-9) << name;
+        EXPECT_GE(map_by_name(name, g, ctx).comm_cost, direct.comm_cost - 1e-9) << name;
 }
 
 // ------------------------------------------------- typed request/outcome API
 
-MapRequest request_for(const graph::CoreGraph& g, const noc::Topology& topo) {
+MapRequest request_for(const graph::CoreGraph& g, const noc::EvalContext& ctx) {
     MapRequest request;
     request.graph = &g;
-    request.topology = &topo;
+    request.context = &ctx;
     return request;
 }
 
@@ -150,9 +150,9 @@ TEST(MapApi, EveryMapperPublishesItsParamSpecs) {
 
 TEST(MapApi, UnknownKeyIsRejectedByAllEightMappers) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     for (const std::string& name : registry().names()) {
-        MapRequest request = request_for(g, topo);
+        MapRequest request = request_for(g, ctx);
         request.params.set_assignment("definitely_not_a_knob=1");
         const MapOutcome outcome = run_by_name(name, request);
         ASSERT_FALSE(outcome.ok()) << name;
@@ -163,10 +163,10 @@ TEST(MapApi, UnknownKeyIsRejectedByAllEightMappers) {
 
 TEST(MapApi, OutOfRangeAndIllTypedValuesAreRejectedPerSpec) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     const auto expect_code = [&](const char* mapper, const char* assignment,
                                  MapErrorCode code) {
-        MapRequest request = request_for(g, topo);
+        MapRequest request = request_for(g, ctx);
         request.params.set_assignment(assignment);
         const MapOutcome outcome = run_by_name(mapper, request);
         ASSERT_FALSE(outcome.ok()) << mapper << " " << assignment;
@@ -187,15 +187,14 @@ TEST(MapApi, OutOfRangeAndIllTypedValuesAreRejectedPerSpec) {
 }
 
 TEST(MapApi, DefaultsOnlyRequestsMatchTheCompatShims) {
-    // An empty Params set must decode to the default Options structs — the
-    // acceptance criterion that defaults-only requests stay bit-identical
-    // to the pre-redesign entry points.
+    // An empty Params set must decode to the default Options structs:
+    // defaults-only requests stay bit-identical to map_by_name().
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     for (const std::string& name : registry().names()) {
-        const MapOutcome outcome = run_by_name(name, request_for(g, topo));
+        const MapOutcome outcome = run_by_name(name, request_for(g, ctx));
         ASSERT_TRUE(outcome.ok()) << name;
-        const MappingResult direct = map_by_name(name, g, topo);
+        const MappingResult direct = map_by_name(name, g, ctx);
         EXPECT_EQ(outcome.result().mapping, direct.mapping) << name;
         EXPECT_DOUBLE_EQ(outcome.result().comm_cost, direct.comm_cost) << name;
     }
@@ -203,19 +202,19 @@ TEST(MapApi, DefaultsOnlyRequestsMatchTheCompatShims) {
 
 TEST(MapApi, NonDefaultKnobsReachTheAlgorithm) {
     const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     // A naive-eval run must equal the default ledger run bit for bit (same
     // algorithm, different scoring machinery)...
-    MapRequest naive = request_for(g, topo);
+    MapRequest naive = request_for(g, ctx);
     naive.params.set_assignment("eval=naive");
     const MapOutcome naive_outcome = run_by_name("nmap", naive);
     ASSERT_TRUE(naive_outcome.ok());
-    const MappingResult defaults = map_by_name("nmap", g, topo);
+    const MappingResult defaults = map_by_name("nmap", g, ctx);
     EXPECT_EQ(naive_outcome.result().mapping, defaults.mapping);
     EXPECT_DOUBLE_EQ(naive_outcome.result().comm_cost, defaults.comm_cost);
     // ...and extra sweeps may only improve the cost (and here provably run:
     // the evaluation counter grows).
-    MapRequest more_sweeps = request_for(g, topo);
+    MapRequest more_sweeps = request_for(g, ctx);
     more_sweeps.params.set_assignment("sweeps=3");
     const MapOutcome swept = run_by_name("nmap", more_sweeps);
     ASSERT_TRUE(swept.ok());
@@ -223,10 +222,37 @@ TEST(MapApi, NonDefaultKnobsReachTheAlgorithm) {
     EXPECT_GT(swept.result().evaluations, defaults.evaluations);
 }
 
-TEST(MapApi, UnknownMapperIsATypedOutcome) {
+TEST(MapApi, TopologyOnlyRequestsRunOnABorrowedContext) {
+    // A caller holding only a Topology sets MapRequest::topology; the
+    // registry borrows one context over it, so every mapper returns exactly
+    // what the context request returns.
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const MapOutcome outcome = run_by_name("definitely-not-a-mapper", request_for(g, topo));
+    const noc::EvalContext ctx(topo);
+    for (const std::string& name : registry().names()) {
+        MapRequest request;
+        request.graph = &g;
+        request.topology = &topo;
+        const MapOutcome via_topology = registry().run(name, request);
+        const MapOutcome via_context = registry().run(name, request_for(g, ctx));
+        ASSERT_TRUE(via_topology.ok()) << name;
+        ASSERT_TRUE(via_context.ok()) << name;
+        EXPECT_EQ(via_topology.result().mapping, via_context.result().mapping) << name;
+        EXPECT_EQ(via_topology.result().comm_cost, via_context.result().comm_cost) << name;
+        EXPECT_EQ(via_topology.result().loads, via_context.result().loads) << name;
+    }
+    // Neither set: a typed error, never a dereference.
+    MapRequest empty;
+    empty.graph = &g;
+    const MapOutcome none = registry().run("nmap", empty);
+    ASSERT_FALSE(none.ok());
+    EXPECT_EQ(none.error().code, MapErrorCode::Internal);
+}
+
+TEST(MapApi, UnknownMapperIsATypedOutcome) {
+    const auto g = apps::make_application("pip");
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+    const MapOutcome outcome = run_by_name("definitely-not-a-mapper", request_for(g, ctx));
     ASSERT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.error().code, MapErrorCode::UnknownMapper);
     EXPECT_NE(outcome.error().message.find("nmap"), std::string::npos);
@@ -234,8 +260,8 @@ TEST(MapApi, UnknownMapperIsATypedOutcome) {
 
 TEST(MapApi, ExhaustiveGuardAndImpossibleInstancesAreTypedErrors) {
     const auto vopd = apps::make_application("vopd"); // 16 cores
-    const auto topo = noc::Topology::smallest_mesh_for(vopd.node_count(), 1e9);
-    const MapOutcome guard = run_by_name("exhaustive", request_for(vopd, topo));
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(vopd.node_count(), 1e9));
+    const MapOutcome guard = run_by_name("exhaustive", request_for(vopd, ctx));
     ASSERT_FALSE(guard.ok());
     EXPECT_EQ(guard.error().code, MapErrorCode::SearchSpaceExceeded);
     EXPECT_EQ(guard.error().param, "max_placements");
@@ -243,13 +269,13 @@ TEST(MapApi, ExhaustiveGuardAndImpossibleInstancesAreTypedErrors) {
     // Raising the guard is honoured (and validated): the small dsp-filter
     // instance runs under an explicit budget.
     const auto dsp = apps::make_application("dsp");
-    const auto small = noc::Topology::smallest_mesh_for(dsp.node_count(), 1e9);
+    const noc::EvalContext small(noc::Topology::smallest_mesh_for(dsp.node_count(), 1e9));
     MapRequest roomy = request_for(dsp, small);
     roomy.params.set_assignment("max_placements=900000");
     EXPECT_TRUE(run_by_name("exhaustive", roomy).ok());
 
     // |V| > |U| is an unsupported instance for every mapper, never a throw.
-    const auto tiny = noc::Topology::mesh(2, 2, 1e9);
+    const noc::EvalContext tiny(noc::Topology::mesh(2, 2, 1e9));
     for (const std::string& name : registry().names()) {
         const MapOutcome outcome = run_by_name(name, request_for(vopd, tiny));
         ASSERT_FALSE(outcome.ok()) << name;
@@ -259,8 +285,8 @@ TEST(MapApi, ExhaustiveGuardAndImpossibleInstancesAreTypedErrors) {
 
 TEST(MapApi, PreStartCancellationIsATypedError) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    MapRequest request = request_for(g, topo);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+    MapRequest request = request_for(g, ctx);
     request.cancelled = [] { return true; };
     const MapOutcome outcome = run_by_name("nmap", request);
     ASSERT_FALSE(outcome.ok());
@@ -283,9 +309,9 @@ TEST(MapApi, DescribeJsonIsDeterministicAndComplete) {
 
 TEST(MapApi, FixedSeedRunsAreDeterministicAndSeedParamOutranksField) {
     const auto g = apps::make_application("mpeg4");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
 
-    MapRequest seeded = request_for(g, topo);
+    MapRequest seeded = request_for(g, ctx);
     seeded.seed = 1234;
     const MapOutcome first = run_by_name("sa", seeded);
     const MapOutcome second = run_by_name("sa", seeded);
@@ -298,7 +324,7 @@ TEST(MapApi, FixedSeedRunsAreDeterministicAndSeedParamOutranksField) {
 
     // The explicit "seed" param addresses the same RNG and outranks the
     // request field.
-    MapRequest param_seeded = request_for(g, topo);
+    MapRequest param_seeded = request_for(g, ctx);
     param_seeded.seed = 999; // must lose against the param below
     param_seeded.params.set_assignment("seed=1234");
     const MapOutcome via_param = run_by_name("sa", param_seeded);
@@ -306,9 +332,9 @@ TEST(MapApi, FixedSeedRunsAreDeterministicAndSeedParamOutranksField) {
     EXPECT_EQ(via_param.result().mapping, first.result().mapping);
 
     // Seed 0 (unset) means the algorithm default — bit-identical to the
-    // compat shim's run.
-    const MapOutcome unseeded = run_by_name("sa", request_for(g, topo));
-    const MappingResult shim = map_by_name("sa", g, topo);
+    // map_by_name() run.
+    const MapOutcome unseeded = run_by_name("sa", request_for(g, ctx));
+    const MappingResult shim = map_by_name("sa", g, ctx);
     ASSERT_TRUE(unseeded.ok());
     EXPECT_EQ(unseeded.result().mapping, shim.mapping);
 }

@@ -27,11 +27,11 @@ nmap::SinglePathOptions with(nmap::SweepEval eval, std::size_t threads,
 TEST(SwapSweep, IncrementalMatchesNaiveOnApps) {
     for (const char* app : {"vopd", "mpeg4", "pip", "dsd"}) {
         const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
         const auto naive =
-            nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Naive, 1));
+            nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Naive, 1));
         const auto incremental =
-            nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1));
+            nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Incremental, 1));
         EXPECT_EQ(naive.mapping, incremental.mapping) << app;
         EXPECT_DOUBLE_EQ(naive.comm_cost, incremental.comm_cost) << app;
     }
@@ -42,11 +42,12 @@ TEST(SwapSweep, IncrementalMatchesNaiveUnderTightCapacities) {
     // (full evaluation, max-load tie-breaking).
     const auto g = apps::make_application("pip");
     auto topo = noc::Topology::mesh(4, 2, 1e9);
-    const auto unconstrained = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto unconstrained = nmap::map_with_single_path(g, ctx);
     topo.set_uniform_capacity(noc::max_load(unconstrained.loads) * 1.05);
-    const auto naive = nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Naive, 1));
+    const auto naive = nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Naive, 1));
     const auto incremental =
-        nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1));
+        nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Incremental, 1));
     EXPECT_EQ(naive.mapping, incremental.mapping);
     EXPECT_EQ(naive.feasible, incremental.feasible);
 }
@@ -56,12 +57,12 @@ TEST(SwapSweep, IncrementalMatchesNaiveUnderTightCapacities) {
 TEST(SwapSweep, ParallelSweepMatchesSerialSweep) {
     for (const char* app : {"vopd", "mpeg4", "pip"}) {
         const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
         const auto serial =
-            nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1, 3));
+            nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Incremental, 1, 3));
         for (const std::size_t threads : {2u, 4u, 0u}) {
             const auto parallel = nmap::map_with_single_path(
-                g, topo, with(nmap::SweepEval::Incremental, threads, 3));
+                g, ctx, with(nmap::SweepEval::Incremental, threads, 3));
             EXPECT_EQ(serial.mapping, parallel.mapping) << app << " threads=" << threads;
             EXPECT_DOUBLE_EQ(serial.comm_cost, parallel.comm_cost)
                 << app << " threads=" << threads;
@@ -74,11 +75,11 @@ TEST(SwapSweep, ParallelSweepMatchesSerialOnRandomGraph) {
     cfg.core_count = 30;
     cfg.seed = 11;
     const auto g = generate_random_core_graph(cfg);
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     const auto serial =
-        nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1));
+        nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Incremental, 1));
     const auto parallel =
-        nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 4));
+        nmap::map_with_single_path(g, ctx, with(nmap::SweepEval::Incremental, 4));
     EXPECT_EQ(serial.mapping, parallel.mapping);
     EXPECT_DOUBLE_EQ(serial.comm_cost, parallel.comm_cost);
 }
@@ -179,11 +180,12 @@ TEST(SwapSweep, PolicyExceptionPropagatesFromParallelScoring) {
 TEST(SwapSweep, AnnealIsDeterministicForFixedSeed) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     AnnealOptions options;
     options.seed = 17;
-    const AnnealOutcome a = anneal(g, topo, initial, options);
-    const AnnealOutcome b = anneal(g, topo, initial, options);
+    const AnnealOutcome a = anneal(g, ctx, initial, options);
+    const AnnealOutcome b = anneal(g, ctx, initial, options);
     EXPECT_EQ(a.best, b.best);
     EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
     // The tracked best cost is a real Eq.7 cost of the returned mapping.

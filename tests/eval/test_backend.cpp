@@ -58,9 +58,8 @@ TEST(EvalBackend, ParseSpecReadsEveryKnob) {
 
 TEST(EvalBackend, AnalyticReportsTheMapperResultUntouched) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    auto result = nmap::map_with_single_path(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 3, 1e9));
+    auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
     const auto before = result.mapping;
     const double cost = result.comm_cost;
@@ -75,9 +74,8 @@ TEST(EvalBackend, AnalyticReportsTheMapperResultUntouched) {
 
 TEST(EvalBackend, SimulatedEvaluationIsDeterministic) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    auto result = nmap::map_with_single_path(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 3, 1e9));
+    auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
 
     EvalSpec spec;
@@ -100,8 +98,7 @@ TEST(EvalBackend, SimulatedEvaluationIsDeterministic) {
 
 TEST(EvalBackend, UnusableMappingsDegradeToANote) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 3, 1e9));
     EvalSpec spec;
     spec.backend = "simulated";
 
@@ -114,9 +111,8 @@ TEST(EvalBackend, UnusableMappingsDegradeToANote) {
 
 TEST(EvalBackend, RefineIsDeterministicAndKeepsFeasibility) {
     const auto g = apps::synthetic("synth:nodes=12,edges=20,seed=3");
-    const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    const auto seed_result = nmap::map_with_single_path(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 4, 1e9));
+    const auto seed_result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(seed_result.feasible);
 
     EvalSpec spec;
@@ -139,9 +135,8 @@ TEST(EvalBackend, RefineIsDeterministicAndKeepsFeasibility) {
 
 TEST(EvalBackend, RefineHonoursTheCancellationHook) {
     const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(3, 3, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    auto result = nmap::map_with_single_path(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 3, 1e9));
+    auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
     const auto before = result.mapping;
 

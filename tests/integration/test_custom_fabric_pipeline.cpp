@@ -20,11 +20,12 @@ namespace {
 TEST(CustomFabric, NmapOnRing) {
     const auto g = apps::make_application("pip"); // 8 cores
     const auto ring = noc::Topology::ring(8, 1e9);
-    const auto result = nmap::map_with_single_path(g, ring);
+    const auto ring_ctx = noc::EvalContext::borrow(ring);
+    const auto result = nmap::map_with_single_path(g, ring_ctx);
     ASSERT_TRUE(result.feasible);
     EXPECT_TRUE(result.mapping.is_complete());
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(ring, d);
+    const auto routed = nmap::route_single_min_paths(ring_ctx, d);
     for (std::size_t k = 0; k < d.size(); ++k)
         EXPECT_TRUE(noc::is_minimal_route(ring, routed.routes[k], d[k].src_tile,
                                           d[k].dst_tile));
@@ -33,12 +34,13 @@ TEST(CustomFabric, NmapOnRing) {
 TEST(CustomFabric, NmapOnHypercube) {
     const auto g = apps::make_application("vopd"); // 16 cores on a 4-cube
     const auto cube = noc::Topology::hypercube(4, 1e9);
-    const auto result = nmap::map_with_single_path(g, cube);
+    const auto cube_ctx = noc::EvalContext::borrow(cube);
+    const auto result = nmap::map_with_single_path(g, cube_ctx);
     ASSERT_TRUE(result.feasible);
     // A 4-cube's diameter is 4 (vs 6 on the 4x4 mesh): the richer fabric
     // must not cost more than the mesh mapping.
-    const auto mesh = noc::Topology::mesh(4, 4, 1e9);
-    const auto mesh_result = nmap::map_with_single_path(g, mesh);
+    const noc::EvalContext mesh_ctx(noc::Topology::mesh(4, 4, 1e9));
+    const auto mesh_result = nmap::map_with_single_path(g, mesh_ctx);
     EXPECT_LE(result.comm_cost, mesh_result.comm_cost + 1e-6);
 }
 
@@ -80,22 +82,23 @@ TEST(CustomFabric, QuadrantRestrictedSplitOnHypercube) {
 
 TEST(CustomFabric, PbbOnRing) {
     const auto g = apps::make_application("dsp");
-    const auto ring = noc::Topology::ring(6, 1e9);
+    const noc::EvalContext ring_ctx(noc::Topology::ring(6, 1e9));
     baselines::PbbOptions opt;
     opt.queue_capacity = 0; // exact (no mesh symmetry breaking applies)
     opt.max_expansions = 0;
-    const auto pbb = baselines::pbb_map(g, ring, opt);
-    const auto nm = nmap::map_with_single_path(g, ring);
+    const auto pbb = baselines::pbb_map(g, ring_ctx, opt);
+    const auto nm = nmap::map_with_single_path(g, ring_ctx);
     EXPECT_LE(pbb.comm_cost, nm.comm_cost + 1e-9); // exact <= heuristic
 }
 
 TEST(CustomFabric, SimulationOnRing) {
     const auto g = apps::make_application("dsp");
     auto ring = noc::Topology::ring(6, 1e9);
-    const auto result = nmap::map_with_single_path(g, ring);
+    const auto ring_ctx = noc::EvalContext::borrow(ring);
+    const auto result = nmap::map_with_single_path(g, ring_ctx);
     ring.set_uniform_capacity(noc::max_load(result.loads) * 2.0);
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(ring, d);
+    const auto routed = nmap::route_single_min_paths(ring_ctx, d);
     const auto flows = sim::make_single_path_flows(ring, d, routed.routes);
 
     sim::SimConfig cfg;
@@ -115,7 +118,8 @@ TEST(CustomFabric, SimulationOnRing) {
 TEST(CustomFabric, MappingIoRoundtripOnRing) {
     const auto g = apps::make_application("dsp");
     const auto ring = noc::Topology::ring(6, 1e9);
-    const auto result = nmap::map_with_single_path(g, ring);
+    const auto ring_ctx = noc::EvalContext::borrow(ring);
+    const auto result = nmap::map_with_single_path(g, ring_ctx);
     const auto text = noc::mapping_to_string(g, ring, result.mapping);
     // Ring fabrics keep their builder variant in the header (plain
     // "custom" is still accepted on read — see tests/noc/test_mapping_io).

@@ -10,8 +10,7 @@
 #include <ostream>
 
 #include "apps/registry.hpp"
-#include "baselines/gmap.hpp"
-#include "baselines/pmap.hpp"
+#include "engine/mapper.hpp"
 #include "lp/certified_mcf.hpp"
 #include "lp/mcf.hpp"
 #include "nmap/initialize.hpp"
@@ -26,6 +25,10 @@ struct GoldenCost {
     double nmap;
     double gmap;
     double pmap;
+    double pbb;
+    double sa;
+    double nmap_split; ///< MCF2 objective of the polished split mapping
+    double nmap_tm;
 };
 
 // Print a case as its app name. The default printer dumps the param's bytes,
@@ -38,24 +41,34 @@ class GoldenCosts : public ::testing::TestWithParam<GoldenCost> {};
 TEST_P(GoldenCosts, Figure3Values) {
     const auto& golden = GetParam();
     const auto g = apps::make_application(golden.app);
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    EXPECT_DOUBLE_EQ(nmap::map_with_single_path(g, topo).comm_cost, golden.nmap);
-    EXPECT_DOUBLE_EQ(baselines::gmap_map(g, topo).comm_cost, golden.gmap);
-    EXPECT_DOUBLE_EQ(baselines::pmap_map(g, topo).comm_cost, golden.pmap);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+    const auto cost = [&](const char* algo) {
+        return engine::map_by_name(algo, g, ctx).comm_cost;
+    };
+    EXPECT_DOUBLE_EQ(cost("nmap"), golden.nmap);
+    EXPECT_DOUBLE_EQ(cost("gmap"), golden.gmap);
+    EXPECT_DOUBLE_EQ(cost("pmap"), golden.pmap);
+    EXPECT_DOUBLE_EQ(cost("pbb"), golden.pbb);
+    EXPECT_DOUBLE_EQ(cost("sa"), golden.sa);
+    EXPECT_DOUBLE_EQ(cost("nmap-split"), golden.nmap_split);
+    EXPECT_DOUBLE_EQ(cost("nmap-tm"), golden.nmap_tm);
 }
 
-INSTANTIATE_TEST_SUITE_P(Apps, GoldenCosts,
-                         ::testing::Values(GoldenCost{"mpeg4", 5070, 5390, 6040},
-                                           GoldenCost{"vopd", 5235, 6539, 4579},
-                                           GoldenCost{"pip", 576, 704, 576},
-                                           GoldenCost{"mwa", 1248, 1760, 1536},
-                                           GoldenCost{"mwag", 1792, 2304, 2080},
-                                           GoldenCost{"dsd", 1696, 2496, 1728}));
+// app, nmap, gmap, pmap, pbb, sa, nmap-split, nmap-tm (registry defaults).
+INSTANTIATE_TEST_SUITE_P(
+    Apps, GoldenCosts,
+    ::testing::Values(GoldenCost{"mpeg4", 5070, 5390, 6040, 4570, 4570, 5070, 5070},
+                      GoldenCost{"vopd", 5235, 6539, 4579, 4451, 4451, 5235, 5235},
+                      GoldenCost{"pip", 576, 704, 576, 544, 544, 576, 576},
+                      GoldenCost{"mwa", 1248, 1760, 1536, 1216, 1184, 1248, 1248},
+                      GoldenCost{"mwag", 1792, 2304, 2080, 1696, 1696, 1792, 1792},
+                      GoldenCost{"dsd", 1696, 2496, 1728, 1568, 1568, 1696, 1696}));
 
 TEST(GoldenNumbers, VopdSplitBandwidth) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto nm = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto nm = nmap::map_with_single_path(g, ctx);
     EXPECT_DOUBLE_EQ(noc::max_load(nm.loads), 500.0);
     const auto d = noc::build_commodities(g, nm.mapping);
     lp::McfOptions ta;
@@ -65,8 +78,8 @@ TEST(GoldenNumbers, VopdSplitBandwidth) {
 
 TEST(GoldenNumbers, DspDesign) {
     const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto nm = nmap::map_with_single_path(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 2, 1e9));
+    const auto nm = nmap::map_with_single_path(g, ctx);
     EXPECT_DOUBLE_EQ(nm.comm_cost, 2600.0);
     EXPECT_DOUBLE_EQ(noc::max_load(nm.loads), 600.0);
 }

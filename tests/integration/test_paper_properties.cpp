@@ -23,10 +23,10 @@ class VideoAppSweep : public ::testing::TestWithParam<const char*> {};
 // the aggregate ordering is asserted separately below).
 TEST_P(VideoAppSweep, NmapBeatsOrMatchesConstructiveBaselines) {
     const auto g = apps::make_application(GetParam());
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const double nmap_cost = nmap::map_with_single_path(g, topo).comm_cost;
-    const double pmap_cost = baselines::pmap_map(g, topo).comm_cost;
-    const double gmap_cost = baselines::gmap_map(g, topo).comm_cost;
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+    const double nmap_cost = nmap::map_with_single_path(g, ctx).comm_cost;
+    const double pmap_cost = baselines::pmap_map(g, ctx).comm_cost;
+    const double gmap_cost = baselines::gmap_map(g, ctx).comm_cost;
     EXPECT_LE(nmap_cost, gmap_cost + 1e-9);
     EXPECT_LE(nmap_cost, std::min(pmap_cost, gmap_cost) * 1.20);
 }
@@ -37,10 +37,10 @@ TEST(PaperProperties, NmapBeatsBaselinesInAggregate) {
     double nmap_total = 0.0, pmap_total = 0.0, gmap_total = 0.0;
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        nmap_total += nmap::map_with_single_path(g, topo).comm_cost;
-        pmap_total += baselines::pmap_map(g, topo).comm_cost;
-        gmap_total += baselines::gmap_map(g, topo).comm_cost;
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+        nmap_total += nmap::map_with_single_path(g, ctx).comm_cost;
+        pmap_total += baselines::pmap_map(g, ctx).comm_cost;
+        gmap_total += baselines::gmap_map(g, ctx).comm_cost;
     }
     EXPECT_LT(nmap_total, pmap_total);
     EXPECT_LT(nmap_total, gmap_total);
@@ -52,7 +52,8 @@ TEST(PaperProperties, NmapBeatsBaselinesInAggregate) {
 TEST_P(VideoAppSweep, BandwidthOrderingAcrossRoutingModes) {
     const auto g = apps::make_application(GetParam());
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
 
     const double minpath_bw = noc::max_load(result.loads);
@@ -76,7 +77,8 @@ TEST_P(VideoAppSweep, BandwidthOrderingAcrossRoutingModes) {
 TEST_P(VideoAppSweep, SplittingStrictlyReducesBandwidth) {
     const auto g = apps::make_application(GetParam());
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
     lp::McfOptions ta;
     ta.objective = lp::McfObjective::MinMaxLoad;
@@ -95,12 +97,12 @@ TEST(PaperProperties, NmapCompetitiveWithCappedPbbOnRandomGraphs) {
     cfg.core_count = 25;
     cfg.seed = 1;
     const auto g = generate_random_core_graph(cfg);
-    const auto topo = noc::Topology::smallest_mesh_for(cfg.core_count, 1e9);
-    const auto nmap_result = nmap::map_with_single_path(g, topo);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(cfg.core_count, 1e9));
+    const auto nmap_result = nmap::map_with_single_path(g, ctx);
     baselines::PbbOptions pbb_opt;
     pbb_opt.queue_capacity = 2000;
     pbb_opt.max_expansions = 20000;
-    const auto pbb_result = baselines::pbb_map(g, topo, pbb_opt);
+    const auto pbb_result = baselines::pbb_map(g, ctx, pbb_opt);
     EXPECT_LE(nmap_result.comm_cost, pbb_result.comm_cost * 1.05);
 }
 
@@ -109,12 +111,12 @@ TEST(PaperProperties, NmapCompetitiveWithCappedPbbOnRandomGraphs) {
 // NMAP" observation, seen from the other side.
 TEST(PaperProperties, SmallDesignsNearOptimal) {
     const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 2, 1e9));
     baselines::PbbOptions exact;
     exact.queue_capacity = 0;
     exact.max_expansions = 0;
-    const auto optimum = baselines::pbb_map(g, topo, exact);
-    const auto heuristic = nmap::map_with_single_path(g, topo);
+    const auto optimum = baselines::pbb_map(g, ctx, exact);
+    const auto heuristic = nmap::map_with_single_path(g, ctx);
     EXPECT_LE(heuristic.comm_cost, optimum.comm_cost * 1.10);
 }
 
@@ -123,7 +125,8 @@ TEST(PaperProperties, SmallDesignsNearOptimal) {
 TEST(PaperProperties, DspMinBandwidthSingleVsSplit) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto single = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto single = nmap::map_with_single_path(g, ctx);
     EXPECT_NEAR(noc::max_load(single.loads), 600.0, 1e-6);
 
     const auto d = noc::build_commodities(g, single.mapping);
@@ -139,9 +142,10 @@ TEST(PaperProperties, DspMinBandwidthSingleVsSplit) {
 TEST(PaperProperties, QuadrantSplitKeepsHopCountUniform) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     nmap::SplitOptions opt;
     opt.mode = nmap::SplitMode::MinPaths;
-    const auto result = nmap::map_with_splitting(g, topo, opt);
+    const auto result = nmap::map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
     // Total flow equals Eq.7 cost exactly => all used paths are minimal.

@@ -26,13 +26,14 @@ sim::SimConfig quick_sim() {
 TEST(Pipeline, VopdSinglePathEndToEnd) {
     const auto g = apps::make_application("vopd");
     auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
 
     // Realistic link bandwidth for simulation: 2x the routed peak.
     topo.set_uniform_capacity(noc::max_load(result.loads) * 2.0);
     const auto commodities = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     ASSERT_TRUE(routed.feasible);
     const auto flows = sim::make_single_path_flows(topo, commodities, routed.routes);
 
@@ -51,9 +52,10 @@ TEST(Pipeline, VopdSinglePathEndToEnd) {
 TEST(Pipeline, DspSplitTrafficEndToEnd) {
     const auto g = apps::make_application("dsp");
     auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     nmap::SplitOptions opt;
     opt.mode = nmap::SplitMode::AllPaths;
-    const auto result = nmap::map_with_splitting(g, topo, opt);
+    const auto result = nmap::map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
 
     // Load-balanced split routing for the final mapping (with ample
@@ -81,8 +83,8 @@ TEST(Pipeline, DspSplitTrafficEndToEnd) {
 TEST(Pipeline, EveryVideoAppMapsFeasiblyOnItsMesh) {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
-        const auto topo = noc::Topology::smallest_mesh_for(info.cores, 1e9);
-        const auto result = nmap::map_with_single_path(g, topo);
+        const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(info.cores, 1e9));
+        const auto result = nmap::map_with_single_path(g, ctx);
         EXPECT_TRUE(result.feasible) << info.name;
         EXPECT_LT(result.comm_cost, nmap::kMaxValue) << info.name;
         EXPECT_TRUE(result.mapping.is_complete()) << info.name;
@@ -92,10 +94,11 @@ TEST(Pipeline, EveryVideoAppMapsFeasiblyOnItsMesh) {
 TEST(Pipeline, SimulatedThroughputMatchesOfferedLoad) {
     const auto g = apps::make_application("dsp");
     auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     topo.set_uniform_capacity(noc::max_load(result.loads) * 2.0);
     const auto commodities = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     const auto flows = sim::make_single_path_flows(topo, commodities, routed.routes);
 
     auto cfg = quick_sim();

@@ -35,7 +35,8 @@ protected:
 TEST_P(PipelineStress, NmapInvariants) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
 
     // Structure.
     ASSERT_TRUE(result.mapping.is_complete());
@@ -65,7 +66,8 @@ TEST_P(PipelineStress, NmapInvariants) {
 TEST_P(PipelineStress, SplitNeverNeedsMoreBandwidth) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
 
     lp::McfOptions tm;
@@ -92,9 +94,9 @@ TEST_P(PipelineStress, SplitNeverNeedsMoreBandwidth) {
 
 TEST_P(PipelineStress, BaselinesProduceValidMappings) {
     const auto g = make_graph();
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
     for (const auto& result :
-         {baselines::pmap_map(g, topo), baselines::gmap_map(g, topo)}) {
+         {baselines::pmap_map(g, ctx), baselines::gmap_map(g, ctx)}) {
         EXPECT_TRUE(result.mapping.is_complete());
         EXPECT_NO_THROW(result.mapping.validate());
         EXPECT_GE(result.comm_cost, g.total_bandwidth() - 1e-6);
@@ -104,9 +106,10 @@ TEST_P(PipelineStress, BaselinesProduceValidMappings) {
 TEST_P(PipelineStress, QuadrantRouterStaysMinimal) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
     const auto d = noc::build_commodities(g, mapping);
-    const auto routed = nmap::route_single_min_paths(topo, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     for (std::size_t k = 0; k < d.size(); ++k)
         EXPECT_TRUE(noc::is_minimal_route(topo, routed.routes[k], d[k].src_tile,
                                           d[k].dst_tile))
@@ -128,17 +131,18 @@ TEST_P(TorusStress, FullPipelineOnTorus) {
     cfg.seed = GetParam();
     const auto g = generate_random_core_graph(cfg);
     const auto torus = noc::Topology::torus(4, 4, 1e9);
-    const auto result = nmap::map_with_single_path(g, torus);
+    const auto torus_ctx = noc::EvalContext::borrow(torus);
+    const auto result = nmap::map_with_single_path(g, torus_ctx);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(torus, d);
+    const auto routed = nmap::route_single_min_paths(torus_ctx, d);
     for (std::size_t k = 0; k < d.size(); ++k)
         EXPECT_TRUE(noc::is_minimal_route(torus, routed.routes[k], d[k].src_tile,
                                           d[k].dst_tile));
     // Torus distances never exceed mesh distances: the torus mapping cost is
     // at most the mesh cost for the same graph.
-    const auto mesh = noc::Topology::mesh(4, 4, 1e9);
-    const auto mesh_result = nmap::map_with_single_path(g, mesh);
+    const noc::EvalContext mesh_ctx(noc::Topology::mesh(4, 4, 1e9));
+    const auto mesh_result = nmap::map_with_single_path(g, mesh_ctx);
     EXPECT_LE(result.comm_cost, mesh_result.comm_cost + 1e-6);
 }
 
@@ -168,6 +172,7 @@ TEST(HeterogeneousCapacity, McfRespectsPerLinkBudgets) {
 
 TEST(HeterogeneousCapacity, SinglePathRouterSeesTightLinks) {
     auto topo = noc::Topology::mesh(3, 1, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto middle = topo.link_between(1, 2).value();
     topo.set_link_capacity(middle, 10.0);
     noc::Commodity c;
@@ -175,7 +180,7 @@ TEST(HeterogeneousCapacity, SinglePathRouterSeesTightLinks) {
     c.src_tile = 0;
     c.dst_tile = 2;
     c.value = 50.0;
-    const auto routed = nmap::route_single_min_paths(topo, {c});
+    const auto routed = nmap::route_single_min_paths(ctx, {c});
     // Only one path exists and it violates the choked link.
     EXPECT_FALSE(routed.feasible);
 }

@@ -93,7 +93,8 @@ TEST(McfExtra, ExactSolverHandlesVopdScale) {
     // Full VOPD on a 4x4 mesh: 21 commodities x 48 links (~1000 columns).
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
     const auto d = noc::build_commodities(g, mapping);
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;

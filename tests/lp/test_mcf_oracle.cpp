@@ -86,10 +86,11 @@ TEST_P(PaperPolishOracle, PolishMatchesDenseArcForm) {
     const auto g = apps::make_application(GetParam());
     for (const nmap::SplitMode mode : {nmap::SplitMode::AllPaths, nmap::SplitMode::MinPaths}) {
         const auto ample = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto ample_ctx = noc::EvalContext::borrow(ample);
         ASSERT_LE(ample.tile_count(), 16u);
         nmap::SplitOptions split;
         split.mode = mode;
-        const auto mapped = nmap::map_with_splitting(g, ample, split);
+        const auto mapped = nmap::map_with_splitting(g, ample_ctx, split);
         const auto commodities = noc::build_commodities(g, mapped.mapping);
         auto tight = ample;
         tight.set_uniform_capacity(0.6 * noc::max_load(mapped.loads));

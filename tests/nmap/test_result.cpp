@@ -12,9 +12,9 @@ namespace {
 
 TEST(Result, DescribeFeasibleMapping) {
     const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto result = map_with_single_path(g, topo);
-    const auto text = describe(result, g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 2, 1e9));
+    const auto result = map_with_single_path(g, ctx);
+    const auto text = describe(result, g, ctx);
     EXPECT_NE(text.find("feasible: yes"), std::string::npos);
     EXPECT_NE(text.find("comm cost: 2600"), std::string::npos);
     EXPECT_NE(text.find("peak link load: 600"), std::string::npos);
@@ -26,9 +26,9 @@ TEST(Result, DescribeFeasibleMapping) {
 
 TEST(Result, DescribeInfeasibleMapping) {
     const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1.0); // 1 MB/s links
-    const auto result = map_with_single_path(g, topo);
-    const auto text = describe(result, g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 2, 1.0)); // 1 MB/s links
+    const auto result = map_with_single_path(g, ctx);
+    const auto text = describe(result, g, ctx);
     EXPECT_NE(text.find("feasible: no"), std::string::npos);
     EXPECT_NE(text.find("maxvalue"), std::string::npos);
 }

@@ -51,13 +51,14 @@ TEST(Split, FeasibleWhereSinglePathIsNot) {
     g.add_node("b");
     g.add_edge("a", "b", 150.0);
     auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
 
-    const auto single = map_with_single_path(g, topo);
+    const auto single = map_with_single_path(g, ctx);
     EXPECT_FALSE(single.feasible);
 
     SplitOptions opt;
     opt.mode = SplitMode::AllPaths;
-    const auto split = map_with_splitting(g, topo, opt);
+    const auto split = map_with_splitting(g, ctx, opt);
     EXPECT_TRUE(split.feasible);
     EXPECT_LT(split.comm_cost, kMaxValue);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, split.loads, 1e-4));
@@ -67,8 +68,9 @@ TEST(Split, FeasibleWhereSinglePathIsNot) {
 TEST(Split, FlowsConserveAndMatchLoads) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     expect_certified_polish(g, topo, opt, result);
     const auto d = noc::build_commodities(g, result.mapping);
@@ -84,7 +86,8 @@ TEST(Split, CostLowerBoundedByMappingCost) {
     // MCF2 total flow >= Σ value * distance (each unit travels >= distance).
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
-    const auto result = map_with_splitting(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = map_with_splitting(g, ctx);
     ASSERT_TRUE(result.feasible);
     expect_certified_polish(g, topo, {}, result);
     const auto d = noc::build_commodities(g, result.mapping);
@@ -96,9 +99,10 @@ TEST(Split, CostLowerBoundedByMappingCost) {
 TEST(Split, MinPathsModeStaysInQuadrants) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.mode = SplitMode::MinPaths;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     expect_certified_polish(g, topo, opt, result);
     const auto d = noc::build_commodities(g, result.mapping);
@@ -118,7 +122,8 @@ TEST(Split, SplitNeedsNoMoreBandwidthThanSinglePath) {
     // single-path peak load.
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto single = map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto single = map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, single.mapping);
 
     lp::McfOptions mcf;
@@ -136,9 +141,10 @@ TEST(Split, ExactInnerLpOnTinyInstance) {
     g.add_edge("a", "b", 120.0);
     g.add_edge("b", "c", 40.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.mcf_engine = McfEngine::Exact;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
     expect_certified_polish(g, topo, opt, result);
@@ -146,9 +152,9 @@ TEST(Split, ExactInnerLpOnTinyInstance) {
 
 TEST(Split, Deterministic) {
     const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto a = map_with_splitting(g, topo);
-    const auto b = map_with_splitting(g, topo);
+    const noc::EvalContext ctx(noc::Topology::mesh(3, 2, 1e9));
+    const auto a = map_with_splitting(g, ctx);
+    const auto b = map_with_splitting(g, ctx);
     EXPECT_EQ(a.mapping, b.mapping);
     EXPECT_NEAR(a.comm_cost, b.comm_cost, 1e-9);
 }
@@ -159,9 +165,10 @@ TEST(Split, BandwidthModeNeverWorseThanRemappingCostOptimal) {
     // (initialize()) re-routed with splitting.
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.optimize_bandwidth = true;
-    const auto optimized = map_with_splitting(g, topo, opt);
+    const auto optimized = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(optimized.feasible);
     expect_certified_polish(g, topo, opt, optimized);
 
@@ -176,10 +183,11 @@ TEST(Split, BandwidthModeNeverWorseThanRemappingCostOptimal) {
 TEST(Split, BandwidthModeQuadrantFlowsStayMinimal) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.optimize_bandwidth = true;
     opt.mode = SplitMode::MinPaths;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     expect_certified_polish(g, topo, opt, result);
     const auto d = noc::build_commodities(g, result.mapping);
@@ -195,9 +203,10 @@ TEST(Split, BandwidthModeQuadrantFlowsStayMinimal) {
 TEST(Split, BandwidthModeReportsMcf2Cost) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.optimize_bandwidth = true;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     expect_certified_polish(g, topo, opt, result);
     // comm_cost is the MCF2 flow of the final mapping: bounded below by the
@@ -206,36 +215,20 @@ TEST(Split, BandwidthModeReportsMcf2Cost) {
     EXPECT_GE(result.comm_cost, noc::communication_cost(topo, d) - 1e-6);
 }
 
-TEST(Split, ContextOverloadBitIdenticalToTopologyOverload) {
-    const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    for (const SplitMode mode : {SplitMode::AllPaths, SplitMode::MinPaths}) {
-        SplitOptions opt;
-        opt.mode = mode;
-        const auto via_topo = map_with_splitting(g, topo, opt);
-        const auto via_ctx = map_with_splitting(g, ctx, opt);
-        EXPECT_EQ(via_topo.mapping, via_ctx.mapping);
-        EXPECT_EQ(via_topo.feasible, via_ctx.feasible);
-        EXPECT_EQ(via_topo.comm_cost, via_ctx.comm_cost);
-        EXPECT_EQ(via_topo.loads, via_ctx.loads);
-        EXPECT_EQ(via_topo.evaluations, via_ctx.evaluations);
-    }
-}
-
 TEST(Split, WarmStartMatchesColdVerdictAndCost) {
     // Warm inner engines may pick different cost-equal flows mid-sweep, but
     // feasibility and the final exact polish's cost must agree with the cold
     // run on these ample-capacity instances (shortest-path optimum).
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     for (const auto engine : {McfEngine::Approx, McfEngine::Exact}) {
         SplitOptions cold_opt;
         cold_opt.mcf_engine = engine;
         SplitOptions warm_opt = cold_opt;
         warm_opt.warm_start = true;
-        const auto cold = map_with_splitting(g, topo, cold_opt);
-        const auto warm = map_with_splitting(g, topo, warm_opt);
+        const auto cold = map_with_splitting(g, ctx, cold_opt);
+        const auto warm = map_with_splitting(g, ctx, warm_opt);
         EXPECT_EQ(warm.feasible, cold.feasible);
         ASSERT_TRUE(warm.feasible);
         expect_certified_polish(g, topo, cold_opt, cold);
@@ -253,10 +246,11 @@ TEST(Split, WarmStartExactOnConstrainedInstance) {
     g.add_node("b");
     g.add_edge("a", "b", 150.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.mcf_engine = McfEngine::Exact;
     opt.warm_start = true;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
     expect_certified_polish(g, topo, opt, result);
@@ -269,7 +263,8 @@ TEST(Split, ReportsInfeasibleWhenTrulyImpossible) {
     g.add_node("b");
     g.add_edge("a", "b", 500.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0); // corner cut = 200
-    const auto result = map_with_splitting(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = map_with_splitting(g, ctx);
     EXPECT_FALSE(result.feasible);
     EXPECT_EQ(result.comm_cost, kMaxValue);
     expect_certified_polish(g, topo, {}, result);

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "apps/registry.hpp"
-#include "engine/incremental_cost.hpp"
 #include "nmap/initialize.hpp"
-#include "nmap/single_path.hpp"
 #include "noc/commodity.hpp"
 #include "noc/energy.hpp"
 #include "noc/evaluation.hpp"
@@ -90,38 +88,6 @@ TEST(EvalContext, EvaluationOverloadsMatchPlainPaths) {
                          average_weighted_hops(topo, commodities));
         EXPECT_DOUBLE_EQ(mapping_energy_mw(ctx, commodities),
                          mapping_energy_mw(topo, commodities));
-    }
-}
-
-TEST(EvalContext, IncrementalEvaluatorContextParity) {
-    const auto graph = apps::make_application("mpeg4");
-    const Topology topo = Topology::torus(4, 4, 1e9);
-    const EvalContext ctx = EvalContext::borrow(topo);
-    const auto mapping = nmap::initial_mapping(graph, topo);
-
-    engine::IncrementalEvaluator plain(graph, topo, mapping);
-    engine::IncrementalEvaluator threaded(graph, ctx, mapping);
-    EXPECT_DOUBLE_EQ(plain.cost(), threaded.cost());
-    for (TileId a = 0; a < static_cast<TileId>(topo.tile_count()); ++a)
-        for (TileId b = a + 1; b < static_cast<TileId>(topo.tile_count()); ++b)
-            EXPECT_DOUBLE_EQ(plain.swap_delta(a, b), threaded.swap_delta(a, b));
-
-    plain.commit_swap(0, 5);
-    threaded.commit_swap(0, 5);
-    EXPECT_DOUBLE_EQ(plain.cost(), threaded.cost());
-    EXPECT_EQ(plain.mapping(), threaded.mapping());
-}
-
-TEST(EvalContext, SinglePathMapperContextParity) {
-    const auto graph = apps::make_application("vopd");
-    for (const Topology& topo : {Topology::mesh(4, 4, 1e9), Topology::hypercube(4, 1e9)}) {
-        const EvalContext ctx = EvalContext::borrow(topo);
-        const auto plain = nmap::map_with_single_path(graph, topo);
-        const auto threaded = nmap::map_with_single_path(graph, ctx);
-        EXPECT_EQ(plain.mapping, threaded.mapping) << topo.variant();
-        EXPECT_DOUBLE_EQ(plain.comm_cost, threaded.comm_cost) << topo.variant();
-        EXPECT_EQ(plain.feasible, threaded.feasible);
-        EXPECT_EQ(plain.loads, threaded.loads);
     }
 }
 

@@ -37,12 +37,13 @@ TEST(TorusEval, WrapAroundHopCounts) {
 
 TEST(TorusEval, RoutingUsesWrapLinks) {
     const auto t = Topology::torus(5, 3, 1e9);
+    const auto ctx = noc::EvalContext::borrow(t);
     std::vector<Commodity> commodities(1);
     commodities[0].id = 0;
     commodities[0].src_tile = t.tile_at(0, 0);
     commodities[0].dst_tile = t.tile_at(4, 0);
     commodities[0].value = 100.0;
-    const auto routed = nmap::route_single_min_paths(t, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     ASSERT_TRUE(routed.feasible);
     // The minimal route crosses the wrap link, one hop.
     EXPECT_EQ(routed.routes[0].size(), 1u);
@@ -54,10 +55,11 @@ TEST(TorusEval, RoutingUsesWrapLinks) {
 TEST(TorusEval, MappedApplicationRoutesAreMinimalAndConsistent) {
     const auto graph = apps::make_application("vopd");
     const auto t = Topology::torus(4, 4, 1e9);
-    const auto result = engine::map_by_name("nmap", graph, t);
+    const auto ctx = noc::EvalContext::borrow(t);
+    const auto result = engine::map_by_name("nmap", graph, ctx);
     ASSERT_TRUE(result.feasible);
     const auto commodities = build_commodities(graph, result.mapping);
-    const auto routed = nmap::route_single_min_paths(t, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     for (std::size_t k = 0; k < commodities.size(); ++k)
         EXPECT_TRUE(is_minimal_route(t, routed.routes[k], commodities[k].src_tile,
                                      commodities[k].dst_tile));
@@ -68,8 +70,9 @@ TEST(TorusEval, MappedApplicationRoutesAreMinimalAndConsistent) {
 
 TEST(TorusEval, WrapReducesCostVersusMesh) {
     const auto graph = apps::make_application("vopd");
-    const auto mesh = engine::map_by_name("nmap", graph, Topology::mesh(4, 4, 1e9));
-    const auto torus = engine::map_by_name("nmap", graph, Topology::torus(4, 4, 1e9));
+    const auto mesh = engine::map_by_name("nmap", graph, EvalContext(Topology::mesh(4, 4, 1e9)));
+    const auto torus =
+        engine::map_by_name("nmap", graph, EvalContext(Topology::torus(4, 4, 1e9)));
     ASSERT_TRUE(mesh.feasible);
     ASSERT_TRUE(torus.feasible);
     // Wrap links can only shorten minimal distances.
@@ -79,10 +82,11 @@ TEST(TorusEval, WrapReducesCostVersusMesh) {
 TEST(CustomEval, RingEndToEndEvaluation) {
     const auto graph = apps::make_application("dsp");
     const auto ring = Topology::ring(graph.node_count(), 1e9);
-    const auto result = engine::map_by_name("nmap", graph, ring);
+    const auto ring_ctx = noc::EvalContext::borrow(ring);
+    const auto result = engine::map_by_name("nmap", graph, ring_ctx);
     ASSERT_TRUE(result.feasible);
     const auto commodities = build_commodities(graph, result.mapping);
-    const auto routed = nmap::route_single_min_paths(ring, commodities);
+    const auto routed = nmap::route_single_min_paths(ring_ctx, commodities);
     ASSERT_TRUE(routed.feasible);
     for (std::size_t k = 0; k < commodities.size(); ++k)
         EXPECT_TRUE(is_minimal_route(ring, routed.routes[k], commodities[k].src_tile,
@@ -95,7 +99,8 @@ TEST(CustomEval, RingEndToEndEvaluation) {
 TEST(CustomEval, HypercubeEndToEndEvaluation) {
     const auto graph = apps::make_application("vopd");
     const auto cube = Topology::hypercube(4, 1e9);
-    const auto result = engine::map_by_name("nmap", graph, cube);
+    const auto cube_ctx = noc::EvalContext::borrow(cube);
+    const auto result = engine::map_by_name("nmap", graph, cube_ctx);
     ASSERT_TRUE(result.feasible);
     const auto commodities = build_commodities(graph, result.mapping);
     // Hypercube distance is the Hamming distance of the tile ids.
@@ -111,8 +116,9 @@ TEST(CustomEval, HypercubeEndToEndEvaluation) {
 TEST(CustomEval, IncrementalDeltaMatchesFullRecomputeOnRing) {
     const auto graph = apps::make_application("dsp");
     const auto ring = Topology::ring(graph.node_count() + 2, 1e9);
+    const auto ring_ctx = noc::EvalContext::borrow(ring);
     const auto mapping = nmap::initial_mapping(graph, ring);
-    engine::IncrementalEvaluator eval(graph, ring, mapping);
+    engine::IncrementalEvaluator eval(graph, ring_ctx, mapping);
     for (TileId a = 0; a < static_cast<TileId>(ring.tile_count()); ++a)
         for (TileId b = a + 1; b < static_cast<TileId>(ring.tile_count()); ++b) {
             Mapping swapped = mapping;
@@ -128,8 +134,8 @@ TEST(CustomEval, CapacityViolationDetectedOnRing) {
     const auto a = g.add_node("a");
     const auto b = g.add_node("b");
     g.add_edge(a, b, 500.0);
-    const auto ring = Topology::ring(3, 100.0);
-    const auto result = engine::map_by_name("nmap", g, ring);
+    const noc::EvalContext ring_ctx(Topology::ring(3, 100.0));
+    const auto result = engine::map_by_name("nmap", g, ring_ctx);
     EXPECT_FALSE(result.feasible);
     EXPECT_EQ(result.comm_cost, engine::kMaxValue);
 }

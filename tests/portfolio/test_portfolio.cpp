@@ -170,8 +170,8 @@ TEST(PortfolioRunner, ParamCarryingScenariosAreDeterministicAcrossThreadCounts) 
     const auto& scenario = grid[first.index];
     engine::MapRequest request;
     request.graph = scenario.graph.get();
-    const auto topo = scenario.topology.build(scenario.graph->node_count());
-    request.topology = &topo;
+    const noc::EvalContext ctx(scenario.topology.build(scenario.graph->node_count()));
+    request.context = &ctx;
     request.params = params;
     engine::MapOutcome direct = engine::run_by_name("sa", request);
     ASSERT_TRUE(direct.ok());
@@ -232,7 +232,8 @@ TEST(PortfolioRunner, ContextRunsMatchColdRuns) {
         ASSERT_TRUE(r.ok) << r.error;
         const auto& scenario = grid[r.index];
         const auto topo = scenario.topology.build(scenario.graph->node_count());
-        const auto cold = engine::map_by_name(scenario.mapper, *scenario.graph, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto cold = engine::map_by_name(scenario.mapper, *scenario.graph, ctx);
         EXPECT_EQ(cold.mapping, r.result.mapping) << r.name;
         EXPECT_DOUBLE_EQ(cold.comm_cost, r.result.comm_cost) << r.name;
         EXPECT_EQ(cold.feasible, r.result.feasible);

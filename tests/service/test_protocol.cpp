@@ -167,6 +167,18 @@ TEST(Protocol, RejectsBadRequests) {
                  std::invalid_argument);
 }
 
+TEST(Protocol, RejectsNonFiniteBandwidth) {
+    // 1e999 overflows to +inf in the number parser: it must not run as an
+    // unconstrained fabric, nor travel on as an unprintable shard request.
+    const std::string map = R"({"method": "map", "apps": ["vopd"], "bandwidth": )";
+    EXPECT_NO_THROW(parse_request(map + "512}"));
+    EXPECT_THROW(parse_request(map + "1e999}"), std::invalid_argument);
+    const std::string shard = R"({"method": "shard-map", "scenarios": [{"app": "a", )"
+                              R"("graph": "g", "topology": "mesh", "bandwidth": )";
+    EXPECT_NO_THROW(parse_request(shard + "512}]}"));
+    EXPECT_THROW(parse_request(shard + "1e999}]}"), std::invalid_argument);
+}
+
 TEST(Protocol, ResponsesAreSingleLineJsonEchoingTheId) {
     portfolio::TopologyCacheStats stats{3, 8, 10, 4, 1};
     ServiceStats service{120, 2, 9, 1, 3, true};

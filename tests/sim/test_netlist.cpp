@@ -20,9 +20,10 @@ struct Design {
     std::vector<FlowSpec> flows;
 
     Design() {
-        result = nmap::map_with_single_path(graph, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        result = nmap::map_with_single_path(graph, ctx);
         commodities = noc::build_commodities(graph, result.mapping);
-        const auto routed = nmap::route_single_min_paths(topo, commodities);
+        const auto routed = nmap::route_single_min_paths(ctx, commodities);
         flows = make_single_path_flows(topo, commodities, routed.routes);
     }
 };
@@ -58,7 +59,7 @@ TEST(Netlist, SplitTablesStayUnderTenPercentOfBufferBits) {
     // The paper's overhead argument: routing tables < 10% of buffer bits.
     Design d;
     nmap::SplitOptions opt;
-    const auto split = nmap::map_with_splitting(d.graph, d.topo, opt);
+    const auto split = nmap::map_with_splitting(d.graph, noc::EvalContext::borrow(d.topo), opt);
     ASSERT_TRUE(split.feasible);
     const auto commodities = noc::build_commodities(d.graph, split.mapping);
     const auto flows = make_split_flows(d.topo, commodities, split.flows);
@@ -74,7 +75,8 @@ class NetlistOverheadSweep : public ::testing::TestWithParam<const char*> {};
 TEST_P(NetlistOverheadSweep, SplitTablesUnderTenPercent) {
     const auto g = apps::make_application(GetParam());
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto mapped = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapped = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(mapped.feasible);
     const auto d = noc::build_commodities(g, mapped.mapping);
     lp::McfOptions mcf;
