@@ -10,7 +10,9 @@
 #      --print-metrics shows the stall and garbage really fired (nonzero
 #      timeouts and retries).
 #   2. `map --deadline-ms 1` on an SA run exits 1 with
-#      `error[deadline-exceeded]`; a generous deadline exits 0.
+#      `error[deadline-exceeded]`; a generous deadline exits 0; a 100 ms
+#      deadline on a 128-core tight-bandwidth nmap-split run (minutes
+#      unbounded) errors the same way in under 1 s.
 #   3. A serve batch over --max-pending gets a typed "overloaded" error
 #      line, and SIGTERM makes the daemon drain and exit 0.
 #
@@ -92,6 +94,23 @@ elif grep -q 'error\[deadline-exceeded\]' "$OUT/deadline-tight.log"; then
     echo "chaos deadline: 1 ms SA run exits 1 with the typed error"
 else
     fail "deadline exit was non-zero but the typed error line is missing"
+fi
+
+# The split sweep polls the deadline before every per-candidate MCF solve,
+# so the overshoot is one solve, not one row of about 130 solves.
+start_ns=$(date +%s%N)
+if "$CLI" map synth:nodes=128,edges=230,seed=2 --algo nmap-split --bw 400 \
+    --deadline-ms 100 > "$OUT/deadline-split.log" 2>&1; then
+    fail "100 ms deadline on a 128-core tight nmap-split should exit non-zero"
+elif ! grep -q 'error\[deadline-exceeded\]' "$OUT/deadline-split.log"; then
+    fail "split deadline exit was non-zero but the typed error line is missing"
+else
+    elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+    if (( elapsed_ms < 1000 )); then
+        echo "chaos deadline: 100 ms nmap-split run errors after ${elapsed_ms} ms"
+    else
+        fail "100 ms nmap-split deadline took ${elapsed_ms} ms to error (limit 1000 ms)"
+    fi
 fi
 
 if "$CLI" map vopd --deadline-ms 600000 > "$OUT/deadline-generous.log" 2>&1; then

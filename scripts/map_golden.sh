@@ -6,9 +6,13 @@
 #
 # Covered: the paper apps vopd, mpeg4, pip and dsd under every
 # non-exhaustive mapper on the ample mesh, `exhaustive` on pip and dsp, one
-# bandwidth-constrained torus run and the `bw vopd` table. Every case must
-# exit 0. The script also checks that a non-finite --bw is a usage error
-# (exit 2) for `map` and `shard`, and fails on a fixture no case names.
+# bandwidth-constrained torus run, the split mappers under the exact
+# per-swap MCF at tight bandwidth (mesh and torus) and the `bw vopd` table.
+# Every case must exit with its expected status: 0, or 1 for a run that
+# ends infeasible (`map` still prints the best mapping it found, and that
+# report is pinned). The script also checks that a non-finite --bw is a
+# usage error (exit 2) for `map` and `shard`, and fails on a fixture no
+# case names.
 #
 # Regenerate the fixtures intentionally with:
 #     scripts/map_golden.sh ./build/nocmap_cli tests/golden/map --record
@@ -20,7 +24,7 @@ CLI=${1:-./build/nocmap_cli}
 FIXTURES=${2:-tests/golden/map}
 RECORD=${3:-}
 
-# "<fixture name>|<cli arguments>"
+# "<fixture name>|<cli arguments>[|<expected exit status, default 0>]"
 cases=()
 for app in vopd mpeg4 pip dsd; do
     for algo in nmap nmap-split nmap-tm pmap gmap pbb sa; do
@@ -30,19 +34,36 @@ done
 cases+=("pip.exhaustive|map pip --algo exhaustive")
 cases+=("dsp.exhaustive|map dsp --algo exhaustive")
 cases+=("vopd.nmap.torus-bw600|map vopd --algo nmap --fabric torus --bw 600")
+# Tight bandwidth with the exact per-swap MCF: the regime where the split
+# sweep's feasible incumbent prunes candidates by their Eq.7 bound. The two
+# nmap-tm runs that end infeasible exit 1 and are pinned all the same.
+exact="--opt mcf_engine=exact"
+cases+=("mpeg4.nmap-split.exact-bw500|map mpeg4 --algo nmap-split --bw 500 $exact")
+cases+=("mpeg4.nmap-tm.exact-bw500|map mpeg4 --algo nmap-tm --bw 500 $exact|1")
+cases+=("vopd.nmap-split.exact-bw400|map vopd --algo nmap-split --bw 400 $exact")
+cases+=("vopd.nmap-tm.exact-bw400|map vopd --algo nmap-tm --bw 400 $exact")
+cases+=("vopd.nmap-split.exact-bw350|map vopd --algo nmap-split --bw 350 $exact")
+cases+=("vopd.nmap-tm.exact-bw350|map vopd --algo nmap-tm --bw 350 $exact|1")
+cases+=("vopd.nmap-split.torus-exact-bw400|map vopd --algo nmap-split --fabric torus --bw 400 $exact")
 cases+=("bw.vopd|bw vopd")
 
 fail=0
 names=()
 for entry in "${cases[@]}"; do
     name=${entry%%|*}
-    read -r -a argv <<<"${entry#*|}"
+    rest=${entry#*|}
+    expected=0
+    if [[ "$rest" == *"|"* ]]; then
+        expected=${rest##*|}
+        rest=${rest%|*}
+    fi
+    read -r -a argv <<<"$rest"
     names+=("$name")
     fixture="$FIXTURES/$name.txt"
     status=0
     out=$("$CLI" "${argv[@]}") || status=$?
-    if [[ $status -ne 0 ]]; then
-        echo "EXIT: '${argv[*]}' exited $status"
+    if [[ $status -ne $expected ]]; then
+        echo "EXIT: '${argv[*]}' exited $status, expected $expected"
         fail=1
         continue
     fi

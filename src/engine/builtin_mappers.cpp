@@ -176,9 +176,11 @@ std::vector<ParamSpec> split_specs() {
         bool_spec("exact_final_polish", true,
                   "re-score the final mapping with the exact simplex LP"),
         enum_spec("mcf_engine", "approx", {"exact", "approx"},
-                  "inner MCF engine for the per-swap evaluations: exact simplex "
-                  "(the paper's literal loop; minutes instead of seconds) or "
-                  "Frank-Wolfe approximation"),
+                  "inner MCF engine for the per-swap evaluations: exact column "
+                  "generation (the paper's literal loop) or Frank-Wolfe "
+                  "approximation; exact is not the slow one (4-core host, nmap-split "
+                  "synth:nodes=40,edges=72,seed=2 --bw 500: 0.09 s exact, 1.1 s "
+                  "approx)"),
         bool_spec("optimize_bandwidth", false,
                   "Figure-4 variant: minimize the min-max link load instead of "
                   "MCF1/MCF2 under fixed capacities"),

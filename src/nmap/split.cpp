@@ -1,10 +1,10 @@
 #include "nmap/split.hpp"
 
-#include <optional>
+#include <cmath>
+#include <limits>
 
-#include "engine/incremental_router.hpp"
-#include "engine/sweep.hpp"
 #include "nmap/initialize.hpp"
+#include "nmap/split_policy.hpp"
 #include "noc/commodity.hpp"
 #include "util/log.hpp"
 
@@ -45,107 +45,15 @@ std::vector<noc::Commodity> graph_commodities(const graph::CoreGraph& graph) {
     return commodities;
 }
 
-/// Two-phase MCF sweep policy (the body of mappingwithsplitting()):
-/// phase 1 minimizes the MCF1 slack until some candidate satisfies the
-/// bandwidth constraints, phase 2 minimizes the MCF2 total flow. Encoded in
-/// engine::Score as primary = MCF2 cost (kMaxValue before feasibility),
-/// secondary = slack, so the driver's standard acceptance rule reproduces
-/// the seed algorithm's decisions exactly. Stateful (the scoring mode flips
-/// mid-row), hence not parallel_safe.
-class SplitPolicy final : public engine::SweepPolicy {
-public:
-    SplitPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                const lp::McfOptions& slack_mcf, const lp::McfOptions& flow_mcf,
-                bool routing_prefilter)
-        : graph_(graph), ctx_(ctx), slack_(ctx, slack_mcf), flow_(ctx, flow_mcf),
-          routing_prefilter_(routing_prefilter), commodities_(graph_commodities(graph)) {}
-
-    engine::Score evaluate(const noc::Mapping& mapping) override {
-        count_evaluation();
-        if (!bw_satisfied_ && routed_feasible(mapping, noc::kInvalidTile, noc::kInvalidTile))
-            bw_satisfied_ = true;
-        if (!bw_satisfied_) {
-            noc::remap_commodities(commodities_, mapping);
-            const lp::McfResult slack = slack_.solve(commodities_);
-            if (!slack.feasible)
-                return engine::Score{engine::kMaxValue, slack.objective, false};
-            bw_satisfied_ = true;
-        }
-        count_evaluation();
-        noc::remap_commodities(commodities_, mapping);
-        const lp::McfResult cost = flow_.solve(commodities_);
-        return feasible_score(cost);
-    }
-
-    engine::Score evaluate_swap(const noc::Mapping& base, const engine::Score&,
-                                const engine::Score&, noc::TileId a, noc::TileId b) override {
-        noc::Mapping candidate = base;
-        candidate.swap_tiles(a, b);
-        if (!bw_satisfied_) {
-            if (routed_feasible(base, a, b)) {
-                // The O(deg) single-path re-route already satisfies the
-                // bandwidth constraints — a fortiori so does the best
-                // split-traffic flow; skip the MCF1 solve.
-                bw_satisfied_ = true;
-            } else {
-                count_evaluation();
-                noc::remap_commodities(commodities_, candidate);
-                const lp::McfResult slack = slack_.solve(commodities_);
-                if (!slack.feasible)
-                    return engine::Score{engine::kMaxValue, slack.objective, false};
-                // First bandwidth-satisfying candidate: switch to the cost
-                // phase. It beats any infeasible incumbent by construction.
-                bw_satisfied_ = true;
-            }
-        }
-        count_evaluation();
-        noc::remap_commodities(commodities_, candidate);
-        const lp::McfResult cost = flow_.solve(commodities_);
-        return feasible_score(cost);
-    }
-
-    void on_rebase(const noc::Mapping& placed, const engine::Score&) override {
-        if (!routing_prefilter_ || bw_satisfied_) return;
-        if (!router_)
-            router_.emplace(graph_, ctx_, placed);
-        else
-            router_->rebase(placed);
-    }
-
-    bool bw_satisfied() const noexcept { return bw_satisfied_; }
-
-private:
-    /// Prefilter check: true when single-path routing of `base` (or of
-    /// `base` with a, b swapped) satisfies the bandwidth constraints.
-    bool routed_feasible(const noc::Mapping& base, noc::TileId a, noc::TileId b) {
-        if (!routing_prefilter_) return false;
-        if (!router_)
-            router_.emplace(graph_, ctx_, base);
-        if (a == noc::kInvalidTile) return router_->feasible();
-        const bool feasible = router_->reroute_swap(a, b).feasible;
-        router_->rollback();
-        return feasible;
-    }
-
-    static engine::Score feasible_score(const lp::McfResult& cost) {
-        // Bandwidth holds even when the flow LP failed to converge: the
-        // mapping is accepted (secondary -inf outranks every slack) but its
-        // cost stays at maxvalue, exactly as the seed implementation did.
-        if (!cost.feasible)
-            return engine::Score{engine::kMaxValue,
-                                 -std::numeric_limits<double>::infinity(), true};
-        return engine::Score{cost.objective, 0.0, true};
-    }
-
-    const graph::CoreGraph& graph_;
-    const noc::EvalContext& ctx_;
-    lp::McfSolver slack_;
-    lp::McfSolver flow_;
-    const bool routing_prefilter_;
-    std::vector<noc::Commodity> commodities_;
-    std::optional<engine::IncrementalRouter> router_;
-    bool bw_satisfied_ = false;
-};
+engine::Score feasible_score(const lp::McfResult& cost) {
+    // Bandwidth holds even when the flow LP failed to converge: the
+    // mapping is accepted (secondary -inf outranks every slack) but its
+    // cost stays at maxvalue, exactly as the seed implementation did.
+    if (!cost.feasible)
+        return engine::Score{engine::kMaxValue, -std::numeric_limits<double>::infinity(),
+                             true};
+    return engine::Score{cost.objective, 0.0, true};
+}
 
 /// Figure-4 variant policy: minimize the min-max link load (the uniform
 /// bandwidth the design would need) under the split mode.
@@ -223,15 +131,97 @@ MappingResult map_minimizing_bandwidth(const graph::CoreGraph& graph,
 
 } // namespace
 
+SplitPolicy::SplitPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                         const SplitOptions& options)
+    : graph_(graph), ctx_(ctx),
+      slack_(ctx, make_mcf_options(options, lp::McfObjective::MinSlack,
+                                   use_exact_inner(options))),
+      flow_(ctx,
+            make_mcf_options(options, lp::McfObjective::MinFlow, use_exact_inner(options))),
+      routing_prefilter_(options.routing_prefilter), cancel_(options.cancel),
+      commodities_(graph_commodities(graph)) {}
+
+engine::Score SplitPolicy::evaluate(const noc::Mapping& mapping) {
+    count_evaluation();
+    if (!bw_satisfied_ && routed_feasible(mapping, noc::kInvalidTile, noc::kInvalidTile))
+        bw_satisfied_ = true;
+    if (!bw_satisfied_) {
+        noc::remap_commodities(commodities_, mapping);
+        const lp::McfResult slack = slack_.solve(commodities_);
+        if (!slack.feasible) return engine::Score{engine::kMaxValue, slack.objective, false};
+        bw_satisfied_ = true;
+    }
+    count_evaluation();
+    noc::remap_commodities(commodities_, mapping);
+    return feasible_score(flow_.solve(commodities_));
+}
+
+engine::Score SplitPolicy::evaluate_swap(const noc::Mapping& base, const engine::Score&,
+                                         const engine::Score& incumbent, noc::TileId a,
+                                         noc::TileId b) {
+    noc::Mapping candidate = base;
+    candidate.swap_tiles(a, b);
+    if (!bw_satisfied_) {
+        if (routed_feasible(base, a, b)) {
+            // The O(deg) single-path re-route already satisfies the
+            // bandwidth constraints — a fortiori so does the best
+            // split-traffic flow; skip the MCF1 solve.
+            bw_satisfied_ = true;
+        } else {
+            count_evaluation();
+            if (cancelled()) return engine::Score::rejected();
+            noc::remap_commodities(commodities_, candidate);
+            const lp::McfResult slack = slack_.solve(commodities_);
+            if (!slack.feasible)
+                return engine::Score{engine::kMaxValue, slack.objective, false};
+            // First bandwidth-satisfying candidate: switch to the cost
+            // phase. It beats any infeasible incumbent by construction.
+            bw_satisfied_ = true;
+        }
+    }
+    count_evaluation();
+    if (incumbent.feasible) {
+        // The evaluator is bound to `base` (on_rebase follows every move
+        // of `placed`). The guard absorbs summation-order rounding between
+        // the Eq.7 sum and the MCF objective, so no candidate the solve
+        // would accept is pruned.
+        const double bound = evaluator_->cost() + evaluator_->swap_delta(a, b);
+        const double guard = 1e-9 * (1.0 + std::abs(incumbent.primary));
+        if (bound >= incumbent.primary + guard) return engine::Score::rejected();
+    }
+    if (cancelled()) return engine::Score::rejected();
+    noc::remap_commodities(commodities_, candidate);
+    return feasible_score(flow_.solve(commodities_));
+}
+
+void SplitPolicy::on_rebase(const noc::Mapping& placed, const engine::Score&) {
+    if (!evaluator_)
+        evaluator_.emplace(graph_, ctx_, placed);
+    else
+        evaluator_->rebase(placed);
+    if (!routing_prefilter_ || bw_satisfied_) return;
+    if (!router_)
+        router_.emplace(graph_, ctx_, placed);
+    else
+        router_->rebase(placed);
+}
+
+/// Prefilter check: true when single-path routing of `base` (or of `base`
+/// with a, b swapped) satisfies the bandwidth constraints.
+bool SplitPolicy::routed_feasible(const noc::Mapping& base, noc::TileId a, noc::TileId b) {
+    if (!routing_prefilter_) return false;
+    if (!router_) router_.emplace(graph_, ctx_, base);
+    if (a == noc::kInvalidTile) return router_->feasible();
+    const bool feasible = router_->reroute_swap(a, b).feasible;
+    router_->rollback();
+    return feasible;
+}
+
 MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                  const SplitOptions& options) {
     if (options.optimize_bandwidth) return map_minimizing_bandwidth(graph, ctx, options);
 
-    SplitPolicy policy(
-        graph, ctx,
-        make_mcf_options(options, lp::McfObjective::MinSlack, use_exact_inner(options)),
-        make_mcf_options(options, lp::McfObjective::MinFlow, use_exact_inner(options)),
-        options.routing_prefilter);
+    SplitPolicy policy(graph, ctx, options);
     const engine::SweepOutcome outcome =
         make_driver(options).sweep(initial_mapping(graph, ctx.topology()), policy);
     util::log_debug("nmap.split") << "sweeps " << outcome.sweeps

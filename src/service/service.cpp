@@ -13,6 +13,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -580,6 +581,13 @@ int Service::serve_socket(std::uint16_t port,
             ++registry.active;
             accepted_.fetch_add(1, std::memory_order_relaxed);
         }
+        // Each response is one small write. With Nagle on, a reply that
+        // follows an unacknowledged one waits for the client's ACK, which a
+        // delayed-ACK client holds for up to about 40 ms. The listener is
+        // TCP, so this cannot fail with EOPNOTSUPP; any other failure only
+        // costs latency.
+        const int nodelay = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof nodelay);
         if (options_.idle_timeout_ms > 0) {
             // SO_RCVTIMEO turns a silent peer into an EAGAIN read that
             // FdStreamBuf reports as a timed-out EOF — the session thread

@@ -271,15 +271,17 @@ TEST(Split, ReportsInfeasibleWhenTrulyImpossible) {
 }
 
 TEST(Split, DeadlineCutsThePolishShort) {
-    // A 100 ms budget on a 128-core nmap-split (about 4 s unbounded on a
-    // 4-core host): the sweep polls the deadline per row and the exact
-    // polish once per pricing round, so the typed error arrives within a
-    // second of the budget instead of after a full polish whose result is
-    // discarded.
+    // A 100 ms budget on a 128-core nmap-split at 400 MB/s links (over
+    // 100 s unbounded on a 4-core host; one sweep row alone is about 130
+    // Frank–Wolfe solves): the sweep polls the deadline before every MCF
+    // solve and the exact polish once per pricing round, so the typed
+    // error arrives within a second of the budget instead of after a row
+    // or a full polish whose result is discarded.
     portfolio::Scenario scenario;
     scenario.app = "synth";
     scenario.graph = std::make_shared<const graph::CoreGraph>(
-        apps::load_graph_or_application("synth:nodes=128,edges=230,seed=1"));
+        apps::load_graph_or_application("synth:nodes=128,edges=230,seed=2"));
+    scenario.topology.capacity = 400.0;
     scenario.mapper = "nmap-split";
     scenario.deadline_ms = 100;
     portfolio::PortfolioRunner runner;

@@ -15,6 +15,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -289,6 +290,61 @@ TEST(Service, ServesTheLineProtocolOverTcp) {
     EXPECT_EQ(report_of(lines[1]), one_shot_report({"pip"}, "mesh", "nmap"));
     EXPECT_EQ(util::json::parse(lines[2]).find("shutdown")->as_bool(), true);
     EXPECT_TRUE(daemon.shutdown_requested());
+}
+
+TEST(Service, AcceptedSocketsDisableNagle) {
+    ServiceOptions options;
+    Service daemon(options);
+    std::promise<std::uint16_t> bound;
+    std::thread server([&] {
+        daemon.serve_socket(0, [&](std::uint16_t port) { bound.set_value(port); });
+    });
+    const std::uint16_t port = bound.get_future().get();
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    sockaddr_in client{};
+    socklen_t len = sizeof client;
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&client), &len), 0);
+
+    // A ping answer means the daemon accepted and configured the session.
+    const std::string ping = "{\"id\": \"p\", \"method\": \"ping\"}\n";
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), 0), static_cast<ssize_t>(ping.size()));
+    char buffer[4096];
+    ASSERT_GT(::recv(fd, buffer, sizeof buffer, 0), 0);
+
+    // The daemon runs in this process: find its end of the connection (local
+    // port = the daemon's, peer port = ours) and read the option back.
+    int accepted = -1;
+    for (int candidate = 0; candidate < 1024 && accepted < 0; ++candidate) {
+        sockaddr_in local{};
+        sockaddr_in peer{};
+        socklen_t local_len = sizeof local;
+        socklen_t peer_len = sizeof peer;
+        if (::getsockname(candidate, reinterpret_cast<sockaddr*>(&local), &local_len) != 0 ||
+            ::getpeername(candidate, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0)
+            continue;
+        if (local.sin_family == AF_INET && local.sin_port == htons(port) &&
+            peer.sin_port == client.sin_port)
+            accepted = candidate;
+    }
+    ASSERT_GE(accepted, 0);
+    int nodelay = 0;
+    socklen_t opt_len = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &opt_len), 0);
+    EXPECT_NE(nodelay, 0);
+
+    const std::string quit = "{\"id\": \"q\", \"method\": \"shutdown\"}\n";
+    ASSERT_EQ(::send(fd, quit.data(), quit.size(), 0), static_cast<ssize_t>(quit.size()));
+    while (::recv(fd, buffer, sizeof buffer, 0) > 0) {
+    }
+    ::close(fd);
+    server.join();
 }
 
 } // namespace
