@@ -11,6 +11,14 @@
 // build, wider than the 25% gate, while a median ignores the repeats a
 // descheduling stretches or a quiet spell shortens.
 //
+// Since the simulator serves only the routers that hold flits and jumps
+// over idle stretches, one smoke evaluation takes about 80 us on pip and
+// 1.2 ms on mpeg4 (4-core host). Whole runs of one build still fall into
+// spells about 1.6x apart that no in-run statistic removes: 30 smoke runs
+// read pip 7.4k-13.4k, mpeg4 508-857 and synth24 285-471 evals/s, two
+// thirds of them in the fast spell. BENCH_sim.json records the run
+// closest to the median of ten consecutive runs.
+//
 // `--smoke` runs a reduced version and exits non-zero when determinism
 // breaks (two evaluations of the same spec must produce bit-identical
 // SimMetrics), a workload fails to produce measured metrics, or the

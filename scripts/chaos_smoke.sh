@@ -12,7 +12,9 @@
 #   2. `map --deadline-ms 1` on an SA run exits 1 with
 #      `error[deadline-exceeded]`; a generous deadline exits 0; a 100 ms
 #      deadline on a 128-core tight-bandwidth nmap-split run (minutes
-#      unbounded) errors the same way in under 1 s.
+#      unbounded) errors the same way in under 1 s; a 10 ms deadline on a
+#      64-core pbb run and a 50 ms deadline on a 1,000,000-cycle simulated
+#      evaluation error within 50 ms of the deadline.
 #   3. A serve batch over --max-pending gets a typed "overloaded" error
 #      line, and SIGTERM makes the daemon drain and exit 0.
 #
@@ -96,22 +98,42 @@ else
     fail "deadline exit was non-zero but the typed error line is missing"
 fi
 
+# A run far longer than its deadline must exit non-zero with the typed
+# error within `limit_ms` of its start.
+#   expect_deadline <label> <limit_ms> <cli arguments...>
+expect_deadline() {
+    local label=$1 limit_ms=$2
+    shift 2
+    local log="$OUT/deadline-${label//[^a-z0-9]/-}.log"
+    local start_ns elapsed_ms
+    start_ns=$(date +%s%N)
+    if "$CLI" "$@" > "$log" 2>&1; then
+        fail "$label: a deadline below the solve time should exit non-zero"
+        return
+    fi
+    elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+    if ! grep -q 'error\[deadline-exceeded\]' "$log"; then
+        fail "$label: exit was non-zero but the typed error line is missing"
+    elif (( elapsed_ms < limit_ms )); then
+        echo "chaos deadline: $label errors after ${elapsed_ms} ms (limit ${limit_ms} ms)"
+    else
+        fail "$label took ${elapsed_ms} ms to error (limit ${limit_ms} ms)"
+    fi
+}
+
 # The split sweep polls the deadline before every per-candidate MCF solve,
 # so the overshoot is one solve, not one row of about 130 solves.
-start_ns=$(date +%s%N)
-if "$CLI" map synth:nodes=128,edges=230,seed=2 --algo nmap-split --bw 400 \
-    --deadline-ms 100 > "$OUT/deadline-split.log" 2>&1; then
-    fail "100 ms deadline on a 128-core tight nmap-split should exit non-zero"
-elif ! grep -q 'error\[deadline-exceeded\]' "$OUT/deadline-split.log"; then
-    fail "split deadline exit was non-zero but the typed error line is missing"
-else
-    elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
-    if (( elapsed_ms < 1000 )); then
-        echo "chaos deadline: 100 ms nmap-split run errors after ${elapsed_ms} ms"
-    else
-        fail "100 ms nmap-split deadline took ${elapsed_ms} ms to error (limit 1000 ms)"
-    fi
-fi
+expect_deadline "100 ms nmap-split" 1000 \
+    map synth:nodes=128,edges=230,seed=2 --algo nmap-split --bw 400 --deadline-ms 100
+# PBB polls before every node expansion (about 2 s unbounded) and the
+# simulated evaluation every 1024 simulated cycles (a 1,000,000-cycle
+# window, over 5 s unbounded): the error arrives within max(50 ms, 10% of
+# the budget) of the deadline.
+expect_deadline "10 ms pbb" $((10 + 50)) \
+    map synth:nodes=64,edges=110,seed=1 --algo pbb --deadline-ms 10
+expect_deadline "50 ms eval=simulated" $((50 + 50)) \
+    map synth:nodes=128,edges=230,seed=1 --algo nmap --deadline-ms 50 \
+    --eval-opt eval=simulated --eval-opt sim_cycles=1000000
 
 if "$CLI" map vopd --deadline-ms 600000 > "$OUT/deadline-generous.log" 2>&1; then
     echo "chaos deadline: generous deadline changes nothing"

@@ -7,7 +7,8 @@
 # Covered: the paper apps vopd, mpeg4, pip and dsd under every
 # non-exhaustive mapper on the ample mesh, `exhaustive` on pip and dsp, one
 # bandwidth-constrained torus run, the split mappers under the exact
-# per-swap MCF at tight bandwidth (mesh and torus) and the `bw vopd` table.
+# per-swap MCF at tight bandwidth (mesh and torus), four `eval=simulated`
+# runs (the simulator's packet statistics) and the `bw vopd` table.
 # Every case must exit with its expected status: 0, or 1 for a run that
 # ends infeasible (`map` still prints the best mapping it found, and that
 # report is pinned). The script also checks that a non-finite --bw is a
@@ -45,6 +46,13 @@ cases+=("vopd.nmap-tm.exact-bw400|map vopd --algo nmap-tm --bw 400 $exact")
 cases+=("vopd.nmap-split.exact-bw350|map vopd --algo nmap-split --bw 350 $exact")
 cases+=("vopd.nmap-tm.exact-bw350|map vopd --algo nmap-tm --bw 350 $exact|1")
 cases+=("vopd.nmap-split.torus-exact-bw400|map vopd --algo nmap-split --fabric torus --bw 400 $exact")
+# The cycle-accurate simulated evaluation: ample and tight single-path
+# links (a fractional link rate), split flows and uniform injection.
+sim="--eval-opt eval=simulated"
+cases+=("vopd.nmap.sim|map vopd --algo nmap $sim")
+cases+=("vopd.nmap.sim-bw600|map vopd --algo nmap --bw 600 $sim")
+cases+=("vopd.nmap-split.sim-exact-bw400|map vopd --algo nmap-split --bw 400 $exact $sim")
+cases+=("mpeg4.nmap-split.sim-uniform-bw500|map mpeg4 --algo nmap-split --bw 500 $sim --eval-opt injection=uniform")
 cases+=("bw.vopd|bw vopd")
 
 fail=0

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <queue>
 #include <stdexcept>
 
 #include "baselines/gmap.hpp"
@@ -15,35 +14,62 @@ namespace nocmap::baselines {
 
 namespace {
 
+/// One open partial mapping. Its placements (the tiles of order[0..level))
+/// live in the PlacementSlab row `slot`, not in a per-node vector.
 struct SearchNode {
-    std::vector<noc::TileId> assigned; ///< tile of order[0..k)
+    std::uint32_t slot = 0;
+    std::uint32_t level = 0;
     double partial_cost = 0.0;
-    double bound = 0.0;
 };
 
-/// Multi-source BFS distance from every tile to its nearest *free* tile.
-/// Occupied sources get distance >= 1; free tiles get 0.
-std::vector<std::int32_t> nearest_free_distance(const noc::Topology& fabric,
-                                                const std::vector<char>& occupied) {
-    std::vector<std::int32_t> dist(fabric.tile_count(), -1);
-    std::queue<noc::TileId> frontier;
+/// Fixed-stride rows of tile ids, recycled through a free list: one row
+/// per stored search node, so storing a child allocates nothing once the
+/// open list has reached its working size.
+class PlacementSlab {
+public:
+    explicit PlacementSlab(std::size_t stride) : stride_(stride) {}
+
+    std::uint32_t acquire() {
+        if (!free_.empty()) {
+            const std::uint32_t slot = free_.back();
+            free_.pop_back();
+            return slot;
+        }
+        tiles_.resize(tiles_.size() + stride_);
+        return static_cast<std::uint32_t>(tiles_.size() / stride_ - 1);
+    }
+    void release(std::uint32_t slot) { free_.push_back(slot); }
+    noc::TileId* row(std::uint32_t slot) { return tiles_.data() + slot * stride_; }
+
+private:
+    std::size_t stride_;
+    std::vector<noc::TileId> tiles_;
+    std::vector<std::uint32_t> free_;
+};
+
+/// Multi-source BFS distance from every tile to its nearest *free* tile
+/// into `dist`. Occupied sources get distance >= 1; free tiles get 0.
+/// `frontier` is scratch space (a vector used as a FIFO).
+void nearest_free_distance(const noc::Topology& fabric, const std::vector<char>& occupied,
+                           std::vector<std::int32_t>& dist,
+                           std::vector<noc::TileId>& frontier) {
+    dist.assign(fabric.tile_count(), -1);
+    frontier.clear();
     for (std::size_t t = 0; t < fabric.tile_count(); ++t)
         if (!occupied[t]) {
             dist[t] = 0;
-            frontier.push(static_cast<noc::TileId>(t));
+            frontier.push_back(static_cast<noc::TileId>(t));
         }
-    while (!frontier.empty()) {
-        const noc::TileId u = frontier.front();
-        frontier.pop();
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+        const noc::TileId u = frontier[head];
         for (const noc::LinkId l : fabric.out_links(u)) {
             const noc::TileId v = fabric.link(l).dst;
             if (dist[static_cast<std::size_t>(v)] == -1) {
                 dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-                frontier.push(v);
+                frontier.push_back(v);
             }
         }
     }
-    return dist;
 }
 
 } // namespace
@@ -96,8 +122,31 @@ nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContex
     double incumbent =
         noc::communication_cost(ctx, noc::build_commodities(graph, best_mapping));
 
-    // Open list ordered by lower bound; worst entries dropped at capacity.
-    std::multimap<double, SearchNode> open;
+    // Open list ordered by lower bound (ties in insertion order); worst
+    // entries dropped at capacity. Node handles of popped and trimmed
+    // entries are kept in `spare` and reused, so a stored child costs no
+    // allocation either.
+    using OpenList = std::multimap<double, SearchNode>;
+    OpenList open;
+    std::vector<OpenList::node_type> spare;
+    PlacementSlab slab(cores);
+    const auto store = [&](double bound, const SearchNode& node) {
+        if (spare.empty()) {
+            open.emplace(bound, node);
+            return;
+        }
+        OpenList::node_type handle = std::move(spare.back());
+        spare.pop_back();
+        handle.key() = bound;
+        handle.mapped() = node;
+        open.insert(std::move(handle)); // after equal keys, like emplace
+    };
+    const auto take = [&](OpenList::iterator it) {
+        OpenList::node_type handle = open.extract(it);
+        const SearchNode node = handle.mapped();
+        spare.push_back(std::move(handle));
+        return node;
+    };
 
     // Root expansion: first core, symmetry-broken tile set.
     {
@@ -113,37 +162,44 @@ nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContex
                 continue; // torus is vertex-transitive: fix the first tile
             } // custom fabrics: no symmetry assumption, try every tile
             SearchNode node;
-            node.assigned = {tile};
-            node.partial_cost = 0.0;
-            node.bound = future_value[1]; // every unplaced edge costs >= 1 hop
-            open.emplace(node.bound, std::move(node));
+            node.slot = slab.acquire();
+            node.level = 1;
+            slab.row(node.slot)[0] = tile;
+            store(future_value[1], node); // every unplaced edge costs >= 1 hop
             ++stats.generated;
         }
     }
 
     std::vector<char> occupied(fabric.tile_count(), 0);
+    std::vector<std::int32_t> free_dist;
+    std::vector<noc::TileId> bfs_frontier;
+    std::vector<noc::TileId> assigned; // the popped node's placements
     while (!open.empty()) {
         if (options.max_expansions && stats.expansions >= options.max_expansions) break;
-        SearchNode node = std::move(open.begin()->second);
-        open.erase(open.begin());
-        if (node.bound >= incumbent) {
+        const double node_bound = open.begin()->first;
+        const SearchNode node = take(open.begin());
+        const std::size_t level = node.level;
+        const noc::TileId* row = slab.row(node.slot);
+        assigned.assign(row, row + level);
+        slab.release(node.slot);
+        if (node_bound >= incumbent) {
             ++stats.pruned_by_bound;
             continue;
         }
-        const std::size_t level = node.assigned.size();
         if (level == cores) {
             // Complete mapping better than the incumbent.
             incumbent = node.partial_cost;
             noc::Mapping mapping(cores, fabric.tile_count());
-            for (std::size_t i = 0; i < cores; ++i) mapping.place(order[i], node.assigned[i]);
+            for (std::size_t i = 0; i < cores; ++i) mapping.place(order[i], assigned[i]);
             best_mapping = std::move(mapping);
             continue;
         }
+        if (options.cancel && options.cancel()) break;
         ++stats.expansions;
 
         std::fill(occupied.begin(), occupied.end(), 0);
-        for (const noc::TileId t : node.assigned) occupied[static_cast<std::size_t>(t)] = 1;
-        const auto free_dist = nearest_free_distance(fabric, occupied);
+        for (const noc::TileId t : assigned) occupied[static_cast<std::size_t>(t)] = 1;
+        nearest_free_distance(fabric, occupied, free_dist, bfs_frontier);
 
         for (std::size_t t = 0; t < fabric.tile_count(); ++t) {
             const auto tile = static_cast<noc::TileId>(t);
@@ -151,8 +207,8 @@ nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContex
 
             double partial = node.partial_cost;
             for (const Earlier& e : earlier_edges[level])
-                partial += e.value * static_cast<double>(
-                                         ctx.distance(tile, node.assigned[e.partner_position]));
+                partial += e.value *
+                           static_cast<double>(ctx.distance(tile, assigned[e.partner_position]));
 
             // Admissible bound: cross edges need at least the distance from
             // their placed endpoint to the nearest free tile (computed on
@@ -162,7 +218,7 @@ nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContex
             double bound = partial + future_value[level + 1];
             for (const Earlier& e : cross_edges[level + 1]) {
                 const noc::TileId partner_tile =
-                    e.partner_position == level ? tile : node.assigned[e.partner_position];
+                    e.partner_position == level ? tile : assigned[e.partner_position];
                 bound += e.value *
                          static_cast<double>(std::max<std::int32_t>(
                              1, free_dist[static_cast<std::size_t>(partner_tile)]));
@@ -171,19 +227,33 @@ nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContex
                 ++stats.pruned_by_bound;
                 continue;
             }
-
-            SearchNode child;
-            child.assigned = node.assigned;
-            child.assigned.push_back(tile);
-            child.partial_cost = partial;
-            child.bound = bound;
-            open.emplace(bound, std::move(child));
             ++stats.generated;
+
+            // Drop at birth: a full open list keeps the queue_capacity
+            // smallest (bound, age) entries after the trim below. A child
+            // whose bound is >= the current largest sorts after every
+            // entry already stored (ties go to the newest), and children
+            // stored later only add entries ahead of it, so the trim would
+            // erase exactly this child. Counting it dropped without storing
+            // it leaves the search and its statistics unchanged.
+            if (options.queue_capacity && open.size() >= options.queue_capacity &&
+                bound >= std::prev(open.end())->first) {
+                ++stats.dropped_by_capacity;
+                continue;
+            }
+            SearchNode child;
+            child.slot = slab.acquire();
+            child.level = static_cast<std::uint32_t>(level + 1);
+            child.partial_cost = partial;
+            noc::TileId* child_row = slab.row(child.slot);
+            std::copy(assigned.begin(), assigned.end(), child_row);
+            child_row[level] = tile;
+            store(bound, child);
         }
 
-        if (options.queue_capacity && open.size() > options.queue_capacity) {
+        if (options.queue_capacity) {
             while (open.size() > options.queue_capacity) {
-                open.erase(std::prev(open.end()));
+                slab.release(take(std::prev(open.end())).slot);
                 ++stats.dropped_by_capacity;
             }
         }

@@ -20,6 +20,7 @@
 // which shrinks the search space ~8x without affecting optimality.
 
 #include <cstddef>
+#include <functional>
 
 #include "graph/core_graph.hpp"
 #include "nmap/result.hpp"
@@ -33,6 +34,10 @@ struct PbbOptions {
     std::size_t queue_capacity = 8192;
     /// Safety valve on node expansions (0 = unbounded).
     std::size_t max_expansions = 200000;
+    /// Cooperative cancellation (deadline) hook, polled before every node
+    /// expansion; when it returns true the search stops and returns the
+    /// best complete mapping found so far (the greedy incumbent at worst).
+    std::function<bool()> cancel;
 };
 
 struct PbbStats {

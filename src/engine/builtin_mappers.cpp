@@ -231,6 +231,7 @@ MapOutcome run_pbb(const MapRequest& request) {
         static_cast<std::size_t>(request.params.int_or("queue_capacity", 8192));
     options.max_expansions =
         static_cast<std::size_t>(request.params.int_or("max_expansions", 200000));
+    options.cancel = request.cancelled;
     return MapOutcome::success(baselines::pbb_map(*request.graph, *request.context, options));
 }
 

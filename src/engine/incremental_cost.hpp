@@ -57,14 +57,29 @@ public:
     void rebase(const noc::Mapping& mapping);
 
 private:
+    /// One incident edge of a core, seen from that core.
+    struct Neighbour {
+        graph::NodeId core;
+        double bandwidth;
+    };
+
     double placed_edge_cost(graph::NodeId core, noc::TileId tile, graph::NodeId skip) const;
     void refresh_core_commodities(graph::NodeId core);
+    void bind_tiles();
 
     const graph::CoreGraph& graph_;
     const noc::EvalContext& ctx_;
     noc::Mapping mapping_;
     std::vector<noc::Commodity> commodities_;
     double cost_ = 0.0;
+    /// Flat adjacency: core v's neighbours are neighbours_[first_[v] ..
+    /// first_[v+1]), its out-edges then its in-edges in CoreGraph order, so
+    /// swap_delta() sums in the same order as a walk over the edge lists.
+    std::vector<std::size_t> first_;
+    std::vector<Neighbour> neighbours_;
+    /// tile_of_[v] == mapping_.tile_of(v), without its per-call checks; the
+    /// mapping is complete (checked on bind), so every entry is a tile.
+    std::vector<noc::TileId> tile_of_;
 };
 
 } // namespace nocmap::engine

@@ -54,7 +54,8 @@ sim::SimConfig sim_config(const EvalSpec& spec) {
 /// Runs one simulation of `result` and fills the measured metrics. Never
 /// throws: unsimulatable inputs come back with `note` set.
 SimMetrics simulate(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                    const engine::MappingResult& result, const EvalSpec& spec) {
+                    const engine::MappingResult& result, const EvalSpec& spec,
+                    const std::function<bool()>& cancelled) {
     SimMetrics m;
     m.present = true;
     if (!result.feasible) {
@@ -80,9 +81,13 @@ SimMetrics simulate(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
         }
         const sim::SimConfig cfg = sim_config(spec);
         sim::Simulator simulator(ctx.topology(), std::move(flows), cfg);
-        const sim::SimStats stats = simulator.run();
+        const sim::SimStats stats = simulator.run(cancelled);
         m.cycles = stats.cycles_run;
         m.stalled = stats.stalled;
+        if (stats.cancelled) {
+            m.note = "simulation cancelled after " + std::to_string(stats.cycles_run) + " cycles";
+            return m;
+        }
 
         // Percentiles over packets created inside the measurement window
         // and delivered before the run ended — the same filter the
@@ -125,8 +130,8 @@ class AnalyticBackend final : public Backend {
 public:
     std::string_view name() const noexcept override { return "analytic"; }
     Evaluation evaluate(const graph::CoreGraph&, const noc::EvalContext&,
-                        const engine::MappingResult& result,
-                        const EvalSpec&) const override {
+                        const engine::MappingResult& result, const EvalSpec&,
+                        const std::function<bool()>&) const override {
         return {result.comm_cost, result.feasible, {}};
     }
 };
@@ -135,9 +140,10 @@ class SimulatedBackend final : public Backend {
 public:
     std::string_view name() const noexcept override { return "simulated"; }
     Evaluation evaluate(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                        const engine::MappingResult& result,
-                        const EvalSpec& spec) const override {
-        return {result.comm_cost, result.feasible, simulate(graph, ctx, result, spec)};
+                        const engine::MappingResult& result, const EvalSpec& spec,
+                        const std::function<bool()>& cancelled) const override {
+        return {result.comm_cost, result.feasible,
+                simulate(graph, ctx, result, spec, cancelled)};
     }
 };
 
@@ -194,7 +200,7 @@ RefineOutcome refine_with_sim(const graph::CoreGraph& graph, const noc::EvalCont
         return outcome;
 
     const auto p99_of = [&](const engine::MappingResult& candidate) {
-        const SimMetrics m = simulate(graph, ctx, candidate, spec);
+        const SimMetrics m = simulate(graph, ctx, candidate, spec, cancelled);
         if (!m.measured())
             return std::pair{std::numeric_limits<double>::infinity(),
                              std::numeric_limits<double>::infinity()};
@@ -238,7 +244,7 @@ Evaluation apply(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
     RefineOutcome refined;
     if (spec.refine_sim) refined = refine_with_sim(graph, ctx, result, spec, cancelled);
     const Backend* backend = find_backend(spec.backend);
-    Evaluation evaluation = backend ? backend->evaluate(graph, ctx, result, spec)
+    Evaluation evaluation = backend ? backend->evaluate(graph, ctx, result, spec, cancelled)
                                     : Evaluation{result.comm_cost, result.feasible, {}};
     evaluation.sim.refine_trials = refined.trials;
     evaluation.sim.refine_accepted = refined.accepted;

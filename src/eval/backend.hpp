@@ -105,14 +105,16 @@ struct Evaluation {
 /// One evaluation backend. Implementations are stateless singletons; the
 /// registry hands out const pointers that stay valid for the process
 /// lifetime. evaluate() never throws — unsimulatable inputs degrade to
-/// SimMetrics::note.
+/// SimMetrics::note. `cancelled` (may be empty) is the request's deadline
+/// hook; the simulated backend polls it inside the cycle loop and reports
+/// a cancelled run through SimMetrics::note.
 class Backend {
 public:
     virtual ~Backend() = default;
     virtual std::string_view name() const noexcept = 0;
     virtual Evaluation evaluate(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                const engine::MappingResult& result,
-                                const EvalSpec& spec) const = 0;
+                                const engine::MappingResult& result, const EvalSpec& spec,
+                                const std::function<bool()>& cancelled) const = 0;
 };
 
 /// Backend by name; nullptr when unknown (validate_spec rejects unknown
@@ -142,6 +144,9 @@ RefineOutcome refine_with_sim(const graph::CoreGraph& graph, const noc::EvalCont
 /// One-stop entry the portfolio runner and shard coordinator share:
 /// refines `result` when spec.refine_sim, then evaluates it through the
 /// selected backend. The returned SimMetrics carry the refine counters.
+/// `cancelled` is polled between refinement trials and inside every
+/// simulated run; a run it stops carries a note, and the caller's
+/// deadline check turns that into the typed deadline error.
 Evaluation apply(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                  engine::MappingResult& result, const EvalSpec& spec,
                  const std::function<bool()>& cancelled = {});

@@ -1,5 +1,7 @@
 #include "sim/network_interface.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace nocmap::sim {
@@ -45,6 +47,13 @@ std::vector<NetworkInterface::Emission> NetworkInterface::tick(std::uint64_t cyc
         emitted.push_back(e);
     }
     return emitted;
+}
+
+double NetworkInterface::next_emission_time() const noexcept {
+    double earliest = std::numeric_limits<double>::infinity();
+    for (const BurstyGenerator& generator : generators_)
+        earliest = std::min(earliest, generator.next_emit_time());
+    return earliest;
 }
 
 } // namespace nocmap::sim

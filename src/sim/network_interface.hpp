@@ -36,6 +36,9 @@ public:
 
     std::size_t flow_count() const noexcept { return flow_ids_.size(); }
 
+    /// Earliest next_emit_time() over this NI's generators (+inf if none).
+    double next_emission_time() const noexcept;
+
 private:
     std::size_t choose_path(std::size_t flow_slot);
 

@@ -24,12 +24,6 @@ PortIndex Router::port_of_in_link(noc::LinkId l) const {
     throw std::invalid_argument("Router: link does not enter this router");
 }
 
-Router::OutputPort& Router::output_for_link(noc::LinkId l) {
-    for (std::size_t i = 0; i < out_links_.size(); ++i)
-        if (out_links_[i] == l) return outputs_[i];
-    throw std::invalid_argument("Router: link does not leave this router");
-}
-
 std::size_t Router::buffered_flits() const {
     std::size_t total = 0;
     for (const InputBuffer& buffer : inputs_) total += buffer.fifo.size();

@@ -75,12 +75,15 @@ public:
     /// Input port fed by incoming link `l`; throws if `l` does not end here.
     PortIndex port_of_in_link(noc::LinkId l) const;
 
-    /// Output state of outgoing link `l`; throws if `l` does not start here.
-    OutputPort& output_for_link(noc::LinkId l);
+    /// Output state of the i-th outgoing link, out_links()[i].
+    OutputPort& output(std::size_t i) { return outputs_[i]; }
+    const OutputPort& output(std::size_t i) const { return outputs_[i]; }
     OutputPort& ejection_port() { return ejection_; }
 
     /// All incoming link ids, aligned with ports 1..n.
     const std::vector<noc::LinkId>& in_links() const noexcept { return in_links_; }
+    /// All outgoing link ids in topo.out_links() order, aligned with output(i).
+    const std::vector<noc::LinkId>& out_links() const noexcept { return out_links_; }
 
     /// Total flits currently buffered (all inputs).
     std::size_t buffered_flits() const;

@@ -8,8 +8,19 @@
 // bursty ON/OFF traffic. Reproduces the contention mechanism behind
 // Figure 5(c): single-path routing concentrates load and hits wormhole
 // blocking as link bandwidth shrinks, split routing stays flat.
+//
+// The cycle loop is activity-driven but bit-identical to stepping every
+// router every cycle. A router holding no flit (empty input and output
+// queues) would only refill its token buckets in a cycle, so it is not
+// served; when it next holds a flit, the refills it missed are replayed
+// with the same per-cycle update before it is served. Served routers go
+// in ascending tile order, because a router's link stage reads its
+// downstream neighbours' buffer space within the cycle. While no flit is
+// in flight at all, the loop jumps straight to the earliest generator
+// emission (capped at the end of the measurement window).
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -70,6 +81,7 @@ struct SimStats {
     std::uint64_t packets_injected = 0;
     std::uint64_t packets_ejected = 0;
     bool stalled = false; ///< watchdog fired (deadlock / overload)
+    bool cancelled = false; ///< the cancellation hook stopped the run early
 
     std::string summary() const;
 };
@@ -81,7 +93,12 @@ public:
               const SimConfig& config = {});
 
     /// Runs warmup + measurement (+ drain) and returns the statistics.
-    SimStats run();
+    /// `cancelled`, when set, is polled every kCancelPollCycles simulated
+    /// cycles (an idle jump past a poll point polls too); once it returns
+    /// true the run stops with SimStats::cancelled set.
+    SimStats run(const std::function<bool()>& cancelled = {});
+
+    static constexpr std::uint64_t kCancelPollCycles = 1024;
 
     const SimConfig& config() const noexcept { return config_; }
 
@@ -98,6 +115,9 @@ private:
     void deliver_arrivals(std::uint64_t cycle);
     void inject_traffic(std::uint64_t cycle);
     bool serve_outputs(std::uint64_t cycle); ///< returns true if any flit moved
+    bool serve_router(std::size_t tile, std::uint64_t cycle);
+    void catch_up_tokens(std::size_t tile, std::uint64_t cycle);
+    std::uint64_t next_emission_cycle() const;
     void complete_packet(PacketId id, std::uint64_t cycle);
 
     const noc::Topology& topo_;
@@ -111,6 +131,12 @@ private:
     std::vector<PacketRecord> packets_;
     std::vector<std::vector<Arrival>> arrival_ring_; ///< [cycle % delay+1]
     std::uint64_t in_flight_flits_ = 0;
+    /// Per router: flits in its input and output queues (0 = not served).
+    std::vector<std::uint32_t> held_flits_;
+    /// Per router: cycles [0, n) whose token refills are applied.
+    std::vector<std::uint64_t> tokens_synced_;
+    /// Per link: the input port it feeds at its downstream router.
+    std::vector<PortIndex> link_input_port_;
 
     SimStats stats_;
     std::uint64_t measure_begin_ = 0;

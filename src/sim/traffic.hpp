@@ -33,6 +33,10 @@ public:
 
     double average_rate() const noexcept { return rate_; }
 
+    /// Fractional time of the next emission: emits_at() stays false for
+    /// every cycle before floor(next_emit_time()) and is true at it.
+    double next_emit_time() const noexcept { return next_emit_; }
+
 private:
     void schedule_next();
 

@@ -138,5 +138,41 @@ TEST(Pbb, Deterministic) {
     EXPECT_EQ(a.mapping, b.mapping);
 }
 
+TEST(Pbb, CancelStopsBeforeTheNextExpansion) {
+    const auto g = apps::make_application("vopd");
+    const noc::EvalContext ctx(noc::Topology::mesh(4, 4, 1e9));
+    PbbOptions opt;
+    std::size_t polls = 0;
+    opt.cancel = [&] { return ++polls > 5; };
+    PbbStats stats;
+    const auto result = pbb_map(g, ctx, opt, &stats);
+    EXPECT_EQ(stats.expansions, 5u);
+    EXPECT_EQ(polls, 6u);
+    EXPECT_FALSE(stats.exhausted);
+    EXPECT_TRUE(result.mapping.is_complete()); // the greedy incumbent at worst
+}
+
+TEST(Pbb, CancelThatNeverFiresChangesNothing) {
+    const auto g = apps::make_application("mpeg4");
+    const noc::EvalContext ctx(noc::Topology::smallest_mesh_for(g.node_count(), 1e9));
+    PbbOptions plain;
+    plain.queue_capacity = 256;
+    PbbOptions polled = plain;
+    std::size_t polls = 0;
+    polled.cancel = [&] {
+        ++polls;
+        return false;
+    };
+    PbbStats plain_stats, polled_stats;
+    const auto a = pbb_map(g, ctx, plain, &plain_stats);
+    const auto b = pbb_map(g, ctx, polled, &polled_stats);
+    EXPECT_EQ(a.mapping, b.mapping);
+    EXPECT_EQ(a.comm_cost, b.comm_cost);
+    EXPECT_EQ(plain_stats.expansions, polled_stats.expansions);
+    EXPECT_EQ(plain_stats.generated, polled_stats.generated);
+    EXPECT_EQ(plain_stats.dropped_by_capacity, polled_stats.dropped_by_capacity);
+    EXPECT_EQ(polls, polled_stats.expansions); // one poll per expansion
+}
+
 } // namespace
 } // namespace nocmap::baselines

@@ -17,6 +17,10 @@ TEST(Router, PortLayout) {
         EXPECT_GT(p, 0);
         EXPECT_LT(static_cast<std::size_t>(p), r.input_count());
     }
+    // Output ports are positional: output(i) serves out_links()[i], in
+    // topo.out_links() order.
+    const auto out = topo.out_links(centre);
+    EXPECT_EQ(r.out_links(), std::vector<noc::LinkId>(out.begin(), out.end()));
 }
 
 TEST(Router, LocalPortIsUnbounded) {
@@ -56,7 +60,6 @@ TEST(Router, RejectsForeignLinks) {
     }
     ASSERT_NE(foreign, noc::kInvalidLink);
     EXPECT_THROW(r.port_of_in_link(foreign), std::invalid_argument);
-    EXPECT_THROW(r.output_for_link(foreign), std::invalid_argument);
 }
 
 TEST(Router, BufferedFlitCount) {
